@@ -1,9 +1,9 @@
-"""Benchmark: compiled + codegen simulation backends vs the interpreter.
+"""Benchmark: the compiled simulation backend vs the interpreter.
 
 Runs every golden design (``tests/golden/*.v``) through
-:func:`repro.sim.run_simulation` on all three backends and reports
+:func:`repro.sim.run_simulation` on both backends and reports
 cycles/sec (one cycle = 10 time units — all golden clocks use a #5 half
-period), plus cold- vs warm-cache wall time.  Writes ``BENCH_sim.json``
+period), plus cold- vs warm-cache time.  Writes ``BENCH_sim.json``
 at the repo root so the perf trajectory is tracked from PR to PR (the
 simulator twin of ``bench_scale.py`` / ``bench_eval.py``).
 
@@ -19,32 +19,19 @@ simulator twin of ``bench_scale.py`` / ``bench_eval.py``).
   (parses + elaborates every run, like always).
 - ``compiled_cold_s`` / ``compiled_warm_s`` — closure backend, first
   pass (pays parse+elaborate+lower) vs warm in-memory cache.
-- ``codegen_cold_s`` / ``codegen_warm_s`` — codegen backend, first
-  pass (emits + persists the generated module source) vs warm
-  in-memory cache.
-- ``codegen_worker_warm_s`` — a *fresh* cache over the hot disk root,
-  modelling a new pool worker: the generated source is exec'd, never
-  re-lowered (``worker_compiles`` must be 0).
 - ``cycles_per_sec_*`` / ``speedup_*`` — the above as throughput and
   as ratios over ``interp_s``.
 - ``compiles`` / ``compile_cache_hits`` / ``fallbacks`` — closure
   backend counters for the cold+warm passes.
-- ``gen_source_misses`` — disk-layer misses during the codegen cold
-  pass (one per design); ``gen_source_hits`` — disk-layer hits in the
-  fresh-worker pass (one per design).  Mirrors the
-  ``codegen_hits``/``codegen_misses`` counters in ``/api/health``.
-- ``worker_compiles`` — lowering passes in the fresh-worker pass
-  (the warm-pool contract: always 0).
 
-The ≥3x closure floor and the ≥8x codegen floor asserted here are the
-acceptance bars for the two compiled backends.
+The ≥3x warm floor asserted here is the compiled backend's acceptance
+bar.
 """
 
 import gc
 import glob
 import json
 import os
-import tempfile
 import time
 
 from repro.sim import (backend_stats, configure_design_cache,
@@ -102,73 +89,43 @@ def run_sim_bench() -> dict:
 def _run_sim_bench(designs: dict[str, str]) -> dict:
     _, cycles = _sweep(designs, "interp")
 
-    with tempfile.TemporaryDirectory(prefix="bench-sim-gen-") as root:
-        # Cold passes: fresh cache, first sweep pays parse+elaborate+
-        # lower (codegen additionally emits + persists module source
-        # under the disk root so the fresh-worker pass below can skip
-        # lowering entirely).  The two compiled backends key their LRU
-        # entries differently, so one shared cache stays warm for both.
-        configure_design_cache(root=root)
-        reset_backend_stats()
-        cold_s, _ = _sweep(designs, "compiled")
-        assert backend_stats().fallbacks == 0, \
-            backend_stats().fallback_reasons
+    # Cold pass: fresh cache, the sweep pays parse+elaborate+lower.
+    configure_design_cache()
+    reset_backend_stats()
+    cold_s, _ = _sweep(designs, "compiled")
+    assert backend_stats().fallbacks == 0, \
+        backend_stats().fallback_reasons
 
-        codegen_cold_s, _ = _sweep(designs, "codegen")
-        cold_gen = backend_stats().copy()
-        assert cold_gen.fallbacks == 0, cold_gen.fallback_reasons
-        assert cold_gen.codegen_misses == len(designs)
-
-        # Warm passes, interleaved round-robin: the speedup gates are
-        # ratios, and machine speed drifts over a multi-second bench
-        # run — sampling all three backends within each round keeps
-        # numerator and denominator in the same drift regime.
-        interp_samples, warm_samples, cg_samples = [], [], []
-        for _ in range(WARM_REPS):
-            interp_samples.append(_sweep(designs, "interp")[0])
-            warm_samples.append(_sweep(designs, "compiled")[0])
-            cg_samples.append(_sweep(designs, "codegen")[0])
-        interp_s = min(interp_samples)
-        warm_s = min(warm_samples)
-        codegen_warm_s = min(cg_samples)
-        stats = backend_stats().copy()
-        assert stats.fallbacks == 0, stats.fallback_reasons
-        assert stats.cache_hits >= 2 * len(designs) * WARM_REPS
-
-        # Fresh worker over the hot disk cache: exec only, zero
-        # re-lowers — the warm-pool contract.
-        configure_design_cache(root=root)
-        reset_backend_stats()
-        worker_s, _ = _sweep(designs, "codegen")
-        worker = backend_stats().copy()
-        assert worker.compiles == 0, worker.summary()
-        assert worker.codegen_hits == len(designs), worker.summary()
+    # Warm passes, interleaved round-robin: the speedup gate is a
+    # ratio, and machine speed drifts over a multi-second bench run —
+    # sampling both backends within each round keeps numerator and
+    # denominator in the same drift regime.
+    interp_samples, warm_samples = [], []
+    for _ in range(WARM_REPS):
+        interp_samples.append(_sweep(designs, "interp")[0])
+        warm_samples.append(_sweep(designs, "compiled")[0])
+    interp_s = min(interp_samples)
+    warm_s = min(warm_samples)
+    stats = backend_stats().copy()
+    assert stats.fallbacks == 0, stats.fallback_reasons
+    assert stats.cache_hits >= len(designs) * WARM_REPS
     configure_design_cache()
 
-    result = {
+    return {
         "designs": len(designs),
         "cycles_per_pass": cycles,
         "interp_s": round(interp_s, 4),
         "compiled_cold_s": round(cold_s, 4),
         "compiled_warm_s": round(warm_s, 4),
-        "codegen_cold_s": round(codegen_cold_s, 4),
-        "codegen_warm_s": round(codegen_warm_s, 4),
-        "codegen_worker_warm_s": round(worker_s, 4),
         "cycles_per_sec_interp": round(cycles / interp_s, 1),
         "cycles_per_sec_compiled_cold": round(cycles / cold_s, 1),
         "cycles_per_sec_compiled_warm": round(cycles / warm_s, 1),
-        "cycles_per_sec_codegen_warm": round(cycles / codegen_warm_s, 1),
         "speedup_cold": round(interp_s / cold_s, 2),
         "speedup_warm": round(interp_s / warm_s, 2),
-        "speedup_codegen_warm": round(interp_s / codegen_warm_s, 2),
         "compiles": stats.compiles,
         "compile_cache_hits": stats.cache_hits,
         "fallbacks": stats.fallbacks,
-        "gen_source_hits": worker.codegen_hits,
-        "gen_source_misses": cold_gen.codegen_misses,
-        "worker_compiles": worker.compiles,
     }
-    return result
 
 
 def test_sim_backend_throughput(once, benchmark):
@@ -179,8 +136,6 @@ def test_sim_backend_throughput(once, benchmark):
         handle.write("\n")
     print("\n" + json.dumps(result, indent=2, sort_keys=True))
     assert result["fallbacks"] == 0
-    assert result["worker_compiles"] == 0
-    # Acceptance bars, warm cycles/sec over the interpreter on the
-    # golden designs: ≥3x for the closure backend, ≥8x for codegen.
+    # Acceptance bar: warm cycles/sec over the interpreter on the
+    # golden designs.
     assert result["speedup_warm"] >= 3.0, result
-    assert result["speedup_codegen_warm"] >= 8.0, result

@@ -732,6 +732,8 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .sim import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ChipGPT-FT reproduction tool chain")
@@ -749,13 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--top")
     p.add_argument("--vcd", help="write VCD waveform to this path")
-    p.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None,
+    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
                    help="simulator backend (default: compiled, with "
                         "automatic fallback to the interpreter; "
-                        "'codegen' emits an importable Python module "
-                        "per design and caches its source on disk, so "
-                        "warm pool workers never re-lower)")
+                        "'interp' runs the reference interpreter only)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("synth", help="gate-level synthesis report")
@@ -932,8 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(generation suites; default low,middle,high)")
     p.add_argument("--seed", type=int, default=0,
                    help="benchmark-construction seed (repair suite)")
-    p.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None,
+    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
                    help="simulator backend for testbench verdicts "
                         "(default: compiled, with automatic fallback "
                         "to the interpreter; reports are byte-identical "
@@ -1044,8 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--k", type=int, default=5)
     k.add_argument("--levels")
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None)
+    k.add_argument("--sim-backend", choices=BACKENDS, default=None)
 
     k = kinds.add_parser("infer",
                          help="decode completions from a trained "
@@ -1065,8 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("simulate", help="simulation job")
     k.add_argument("file", help="Verilog file (inlined into the spec)")
     k.add_argument("--top")
-    k.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None)
+    k.add_argument("--sim-backend", choices=BACKENDS, default=None)
     k.add_argument("--vcd", action="store_true",
                    help="include VCD text in the result blob")
 
@@ -1122,8 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--levels")
-    p.add_argument("--sim-backend", choices=("compiled", "codegen", "interp"),
-                   default=None)
+    p.add_argument("--sim-backend", choices=BACKENDS, default=None)
     p.add_argument("--priority", type=int, default=0)
     p.add_argument("--no-wait", action="store_true",
                    help="submit the DAG and return without polling")

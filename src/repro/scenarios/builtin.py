@@ -110,7 +110,7 @@ def _build_sim_matrix(ctx: ScenarioContext) -> dict:
     return {"name": "sim-backend-matrix", "nodes": [
         {"name": "sim-{backend}", "kind": "simulate",
          "spec": {"source": COUNTER_TB, "backend": "{backend}"},
-         "foreach": {"backend": ["interp", "compiled", "codegen"]}}]}
+         "foreach": {"backend": ["interp", "compiled"]}}]}
 
 
 def _extract_sim_matrix(results: dict, ctx: ScenarioContext) -> dict:
@@ -125,10 +125,10 @@ def _extract_sim_matrix(results: dict, ctx: ScenarioContext) -> dict:
 
 register(Scenario(
     name="sim-backend-matrix", family="sweep", tags=("ci",),
-    description="One testbench through interp/compiled/codegen as a "
-                "flow fan-out: all must finish with identical output.",
+    description="One testbench through interp and compiled as a flow "
+                "fan-out: both must finish with identical output.",
     build=_build_sim_matrix, extract=_extract_sim_matrix,
-    expected={"backends": (3, 3), "finished": (3, 3),
+    expected={"backends": (2, 2), "finished": (2, 2),
               "agreement": (1, 1), "transcript_lines": (8, 8)}))
 
 

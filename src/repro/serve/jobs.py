@@ -249,8 +249,7 @@ def _normalize_evaluate(spec: dict) -> dict:
     else:
         levels = []
     backend = spec.get("sim_backend")
-    _require(backend in (None, "compiled", "codegen", "interp"),
-             f"unknown sim backend '{backend}'")
+    _require_backend(backend)
     samples = spec.get("samples")
     if samples is None:
         samples = default_samples(suite)
@@ -264,6 +263,13 @@ def _normalize_evaluate(spec: dict) -> dict:
     return out
 
 
+def _require_backend(backend) -> None:
+    from ..sim import BACKENDS
+    _require(backend is None or backend in BACKENDS,
+             f"unknown sim backend '{backend}'; available: "
+             f"{', '.join(BACKENDS)}")
+
+
 def _normalize_simulate(spec: dict) -> dict:
     source = spec.get("source")
     _require(isinstance(source, str) and source.strip(),
@@ -272,8 +278,7 @@ def _normalize_simulate(spec: dict) -> dict:
     # spell it that way, and silently dropping it here sent explicit
     # backend choices to the default.
     backend = spec.get("backend", spec.get("sim_backend"))
-    _require(backend in (None, "compiled", "codegen", "interp"),
-             f"unknown sim backend '{backend}'")
+    _require_backend(backend)
     top = spec.get("top")
     _require(top is None or isinstance(top, str),
              "'top' must be a string module name")

@@ -3,22 +3,17 @@
 Public API:
 
 * :func:`run_simulation` — parse + elaborate + simulate a source string
-  (``backend="compiled"|"codegen"|"interp"``; compiled is the default
-  and both compiling backends fall back to the interpreter on
-  unsupported constructs);
+  (``backend="compiled"|"interp"``; compiled is the default and falls
+  back to the interpreter on unsupported constructs);
 * :func:`run_testbench` — simulate design + self-checking testbench and
   count PASS/FAIL vectors; :func:`run_testbench_batch` scores many
   candidates against one shared (parsed-once) testbench;
 * :class:`Value` — four-state bit-vector values;
 * :func:`elaborate` / :class:`Simulator` — the interpreter pieces;
 * :func:`compile_design` / :class:`CompiledSimulator` — the compiling
-  backend (see :mod:`repro.sim.compile`);
-* :func:`generate_module` / :func:`load_generated` — the codegen
-  backend's source emitter and loader (see :mod:`repro.sim.codegen`).
+  backend (see :mod:`repro.sim.compile`).
 """
 
-from .codegen import (SIM_CODEGEN_VERSION, CodegenUnsupported,
-                      codegen_key, generate_module, load_generated)
 from .compile import (SIM_COMPILE_VERSION, BackendStats,
                       CompiledDesign, CompiledDesignCache,
                       CompiledSimulator, CompileUnsupported,
@@ -40,10 +35,8 @@ __all__ = [
     "run_testbench_batch", "find_top",
     "SimResult", "TestbenchVerdict", "Tracer",
     "BACKENDS", "DEFAULT_BACKEND", "SIM_COMPILE_VERSION",
-    "SIM_CODEGEN_VERSION", "BackendStats", "CompileUnsupported",
-    "CodegenUnsupported", "CompiledDesign",
+    "BackendStats", "CompileUnsupported", "CompiledDesign",
     "CompiledDesignCache", "CompiledSimulator", "backend_stats",
-    "codegen_key", "compile_design", "configure_design_cache",
-    "design_cache", "generate_module", "load_generated",
+    "compile_design", "configure_design_cache", "design_cache",
     "reset_backend_stats", "source_digest",
 ]

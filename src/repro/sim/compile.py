@@ -25,7 +25,9 @@ golden-trace suite assert that final signal states, ``$display``
 transcripts and VCD dumps are identical.  Anything the lowerer cannot
 prove it handles raises :class:`CompileUnsupported`, and the caller
 (:func:`repro.sim.run_simulation`) falls back to the interpreter; the
-fallback is counted in :func:`backend_stats`.
+fallback is counted in :func:`backend_stats`.  This is the simulator's
+only fast backend: the interpreter stays as reference oracle and
+fallback.
 
 Compiled designs are cached in a content-keyed
 :class:`CompiledDesignCache` (key = source digest +
@@ -43,7 +45,6 @@ from collections import deque
 from dataclasses import dataclass, field
 import heapq
 import json
-import os
 import sys
 import threading
 
@@ -84,6 +85,13 @@ class BackendStats:
     out aggregate the per-item :meth:`delta_since` snapshots back
     through their result stream (see ``repro.eval.engine``), which is
     exact regardless of pool type.
+
+    The counters are *physical*: they count simulations, compiles and
+    cache hits that actually happened in the counting process.  Work a
+    per-process memo answers (e.g. ``repro.eval.verilog_eval``'s
+    candidate cache) never reaches the simulator and is not counted,
+    so aggregated totals depend on which worker served which item.
+    Verdicts do not.
     """
 
     #: Keep the per-reason dict bounded — reasons can embed design
@@ -99,8 +107,10 @@ class BackendStats:
     fallbacks: int = 0            #: compiled requests that fell back
     compiles: int = 0             #: actual lowering passes executed
     cache_hits: int = 0           #: compiled-design cache hits (in-memory)
-    codegen_hits: int = 0         #: generated-source disk-cache hits
-    codegen_misses: int = 0       #: generated-source disk-cache misses
+    #: No backend increments these two; they stay 0 so ``/api/health``
+    #: and bench readers keep their schema.
+    codegen_hits: int = 0
+    codegen_misses: int = 0
     fallback_reasons: dict[str, int] = field(default_factory=dict)
 
     def record_fallback(self, reason: str) -> None:
@@ -148,9 +158,7 @@ class BackendStats:
                 f"{self.interp_runs} interpreted / "
                 f"{self.fallbacks} fallback(s), "
                 f"{self.compiles} compile(s), "
-                f"{self.cache_hits} cache hit(s), "
-                f"{self.codegen_hits}/{self.codegen_misses} "
-                f"gen-source hit/miss")
+                f"{self.cache_hits} cache hit(s)")
 
 
 _STATS_LOCAL = threading.local()
@@ -2066,42 +2074,15 @@ def source_digest(source_text: str, top: str | None) -> str:
 
 
 def _cache_fingerprint() -> str:
-    # Fold in the Python major.minor: generated-source artefacts are
-    # Python modules, so an interpreter upgrade must invalidate them —
-    # and the verdict layer gets the same guard (an "unsupported"
-    # verdict can flip when the lowerer runs on a newer Python).
+    # Fold in the Python major.minor: an "unsupported" verdict can flip
+    # when the lowerer runs on a newer Python.
     pyv = f"{sys.version_info[0]}.{sys.version_info[1]}"
     return hashlib.sha256(
         f"repro.sim.compile\x1f{SIM_COMPILE_VERSION}\x1f{pyv}"
         .encode()).hexdigest()
 
 
-class _MergeOnFlushCache(ManifestCache):
-    """ManifestCache that merges the on-disk index before rewriting.
-
-    Concurrent pool workers each hold a partial in-memory view, so a
-    plain whole-manifest rewrite would drop the other workers' entries.
-    Entries are content-addressed and idempotent, so merging the
-    on-disk index first makes the disjoint-digest case lossless (the
-    residual read-modify-write race only costs a future recompute).
-    """
-
-    def flush(self) -> None:
-        try:
-            with open(self._manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            manifest = None
-        if (manifest is not None
-                and manifest.get("version") == self.version
-                and manifest.get("fingerprint") == self.fingerprint):
-            for slot, entry in manifest.get(self.entries_field,
-                                            {}).items():
-                self._entries.setdefault(slot, entry)
-        super().flush()
-
-
-class _CompileMetaCache(_MergeOnFlushCache):
+class _CompileMetaCache(ManifestCache):
     """Persistent compile-verdict layer (ManifestCache of JSON blobs).
 
     Closures cannot cross a process boundary or survive a restart, so
@@ -2128,61 +2109,45 @@ class _CompileMetaCache(_MergeOnFlushCache):
             raise ValueError("unrecognised compile-verdict blob")
         return blob
 
-
-class _GenSourceCache(_MergeOnFlushCache):
-    """Persistent generated-source layer: one ``.py`` file per design.
-
-    Unlike closures, the codegen backend's artefact is a plain module
-    source string — it survives a process boundary, so warm pool
-    workers ``exec`` it instead of re-lowering.  Entries are keyed by
-    :func:`repro.sim.codegen.codegen_key` (source digest + codegen
-    version + Python major.minor), stored verbatim as importable
-    Python text for debuggability.
-    """
-
-    version = SIM_COMPILE_VERSION
-    subdir = "entries"
-    file_prefix = "gen-"
-    file_suffix = ".py"
-
-    def _encode(self, payload: str) -> str:
-        return payload
-
-    def _decode(self, text: str) -> str:
-        if "def build" not in text:
-            raise ValueError("unrecognised generated-source blob")
-        return text
+    def flush(self) -> None:
+        # Concurrent pool workers each hold a partial in-memory view, so
+        # a plain whole-manifest rewrite would drop the other workers'
+        # entries.  Entries are content-addressed and idempotent, so
+        # merging the on-disk index first makes the disjoint-digest case
+        # lossless (the residual read-modify-write race only costs a
+        # future recompute).
+        try:
+            with open(self._manifest_path, encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except (OSError, ValueError):
+            manifest = None
+        if (manifest is not None
+                and manifest.get("version") == self.version
+                and manifest.get("fingerprint") == self.fingerprint):
+            for slot, entry in manifest.get(self.entries_field,
+                                            {}).items():
+                self._entries.setdefault(slot, entry)
+        super().flush()
 
 
 class CompiledDesignCache:
     """Two-layer cache of compiled designs, keyed by source digest.
 
-    * **in-memory**: an LRU of artefacts — closure
-      :class:`CompiledDesign` objects under the bare digest, loaded
-      codegen artefacts under a ``g\\x1f`` prefix — the layer that
-      makes ``repro evaluate`` compile each testbench/reference pair
-      once across models, levels and samples;
+    * **in-memory**: an LRU of :class:`CompiledDesign` artefacts — the
+      layer that makes ``repro evaluate`` compile each
+      testbench/reference pair once across models, levels and samples;
     * **persistent** (optional, ``root=``): a manifest-indexed store
-      of *unsupported* verdicts plus a generated-source store
-      (``<root>/gen``) of importable Python modules emitted by
-      :mod:`repro.sim.codegen` — the layer that lets a warm pool
-      worker skip parse, elaborate *and* lowering entirely.  Entries
-      whose key no longer matches (source edited,
+      of *unsupported* verdicts — the layer that lets a warm pool
+      worker skip a doomed compile attempt without re-parsing.
+      Entries whose key no longer matches (source edited,
       :data:`SIM_COMPILE_VERSION` bumped, or the Python major.minor
       changed) degrade to misses.
     """
 
     def __init__(self, maxsize: int = 256, root: str | None = None):
-        self._lru: LRUCache[str, object] = LRUCache(maxsize)
+        self._lru: LRUCache[str, CompiledDesign] = LRUCache(maxsize)
         self._meta = (_CompileMetaCache(root, _cache_fingerprint())
                       if root else None)
-        self._gen = (_GenSourceCache(os.path.join(root, "gen"),
-                                     _cache_fingerprint())
-                     if root else None)
-        # In-memory only: codegen-unsupported designs may still lower
-        # fine on the closure backend, so this memo never reaches the
-        # shared verdict layer.
-        self._codegen_unsupported: dict[str, str] = {}
 
     def get(self, digest: str) -> CompiledDesign | None:
         return self._lru.get(digest)
@@ -2207,48 +2172,8 @@ class CompiledDesignCache:
                 "stats": {}})
             self._meta.flush()
 
-    # -- codegen artefacts ------------------------------------------------
-
-    def get_codegen(self, digest: str):
-        """In-memory loaded codegen artefact for ``digest`` (or None)."""
-        return self._lru.get("g\x1f" + digest)
-
-    def put_codegen(self, digest: str, compiled) -> None:
-        self._lru.put("g\x1f" + digest, compiled)
-
-    def gen_source(self, digest: str, key: str) -> str | None:
-        """Persisted generated-module source for ``digest`` (or None).
-
-        ``key`` is :func:`repro.sim.codegen.codegen_key` — the digest
-        extended with the codegen version and Python major.minor, so a
-        stale artefact can never be exec'd by a newer interpreter.
-        """
-        if self._gen is None:
-            return None
-        return self._gen.lookup(digest[:16], key)
-
-    def put_gen_source(self, digest: str, key: str, source: str) -> None:
-        if self._gen is not None:
-            self._gen.store(digest[:16], key, source)
-            self._gen.flush()
-
-    def gen_counters(self) -> dict[str, int]:
-        """Hit/miss counters of the persistent gen-source layer."""
-        if self._gen is None:
-            return {"hits": 0, "misses": 0}
-        return {"hits": self._gen.hits, "misses": self._gen.misses}
-
-    def codegen_unsupported(self, digest: str) -> str | None:
-        return self._codegen_unsupported.get(digest)
-
-    def record_codegen_unsupported(self, digest: str,
-                                   reason: str) -> None:
-        if len(self._codegen_unsupported) < 4096:
-            self._codegen_unsupported[digest] = reason
-
     def clear(self) -> None:
         self._lru.clear()
-        self._codegen_unsupported.clear()
 
 
 #: Process-wide default cache (in-memory only until configured).

@@ -4,18 +4,12 @@ The benchmark suites use self-checking testbenches that print
 ``PASS``/``FAIL`` lines and call ``$finish``; :func:`run_testbench` runs one
 and summarises the outcome.
 
-Three backends sit behind :func:`run_simulation`:
+Two backends sit behind :func:`run_simulation`:
 
 * ``"compiled"`` (the default) — :mod:`repro.sim.compile` lowers the
   design once into closures, cached by source digest in the process-wide
   :class:`~repro.sim.compile.CompiledDesignCache` so repeated runs of
   the same testbench/reference pair skip parse, elaborate *and* lower;
-* ``"codegen"`` — :mod:`repro.sim.codegen` emits an importable Python
-  *module source* per design.  Same runtime contract and cache as
-  ``"compiled"``, plus a persistent generated-source layer: any warm
-  process (pool worker, daemon thread, fresh interpreter) ``exec``\\ s
-  the cached module instead of re-lowering — zero compiles in a warm
-  fleet;
 * ``"interp"`` — the reference tree-walking interpreter
   (:class:`~repro.sim.engine.Simulator`).
 
@@ -39,7 +33,7 @@ from .engine import SimulationError, SimulationTimeout, Simulator
 #: Backend used when callers don't pass one explicitly.
 DEFAULT_BACKEND = "compiled"
 
-BACKENDS = ("compiled", "codegen", "interp")
+BACKENDS = ("compiled", "interp")
 
 
 @dataclass
@@ -186,81 +180,19 @@ def _run_compiled(source_text: str, top: str | None, max_time: int,
     return _finish_result(simulator)
 
 
-def _run_codegen(source_text: str, top: str | None, max_time: int,
-                 filename: str, trace: bool,
-                 tree: ast.SourceFile | None = None) -> SimResult | None:
-    """Run on the codegen backend; returns None to request fallback.
-
-    Artefact resolution is three-layered: in-memory LRU of loaded
-    modules → persistent generated-source files (any process with a
-    warm disk cache ``exec``\\ s instead of re-lowering — ``compiles``
-    stays 0) → generate from the elaborated design and persist.
-    """
-    from .codegen import (CodegenUnsupported, codegen_key,
-                          generate_module, load_generated)
-    stats = backend_stats()
-    cache = design_cache()      # bound once per run (atomic swap safe)
-    digest = source_digest(source_text, top)
-    compiled = cache.get_codegen(digest)
-    try:
-        if compiled is None:
-            reason = cache.codegen_unsupported(digest)
-            if reason is not None:
-                stats.record_fallback(reason)
-                return None
-            verdict = cache.verdict(digest)
-            if verdict is not None and not verdict.get("supported"):
-                stats.record_fallback(
-                    verdict.get("reason") or "unsupported construct")
-                return None
-            key = codegen_key(digest)
-            gen_source = cache.gen_source(digest, key)
-            if gen_source is not None:
-                stats.codegen_hits += 1
-            else:
-                stats.codegen_misses += 1
-                source = tree if tree is not None else \
-                    parse(source_text, filename)
-                top_name = top or find_top(source)
-                design = elaborate(source, top_name)
-                gen_source = generate_module(design, digest)
-                cache.put_gen_source(digest, key, gen_source)
-            compiled = load_generated(gen_source)
-            cache.put_codegen(digest, compiled)
-        else:
-            stats.cache_hits += 1
-    except CodegenUnsupported as exc:
-        # Emit-only limit: the closure lowerer may still support this
-        # design, so the verdict never reaches the shared persistent
-        # layer — it is memoised in-process only.
-        cache.record_codegen_unsupported(digest, str(exc))
-        stats.record_fallback(str(exc))
-        return None
-    except CompileUnsupported as exc:
-        cache.record_unsupported(digest, str(exc))
-        stats.record_fallback(str(exc))
-        return None
-    except (VerilogError, SimulationError) as exc:
-        return SimResult(ok=False, error=str(exc))
-    except RecursionError:
-        return SimResult(ok=False, error="elaboration recursion overflow")
-    stats.compiled_runs += 1
-    try:
-        simulator = compiled.simulator()
-        if trace:
-            simulator.enable_tracing()
-        simulator.run(max_time=max_time)
-    except SimulationTimeout:
-        # Same rule as the closure backend: the interpreter is
-        # authoritative at the step-budget boundary.
-        stats.compiled_runs -= 1
-        stats.record_fallback("timeout")
-        return None
-    except (VerilogError, SimulationError) as exc:
-        return SimResult(ok=False, error=str(exc))
-    except RecursionError:
-        return SimResult(ok=False, error="elaboration recursion overflow")
-    return _finish_result(simulator)
+def _simulate(chosen: str, source_text: str, top: str | None,
+              max_time: int, filename: str, trace: bool,
+              tree: ast.SourceFile | None = None) -> SimResult:
+    if chosen == "compiled":
+        result = _run_compiled(source_text, top, max_time, filename,
+                               trace, tree=tree)
+        if result is not None:
+            return result
+        # Unsupported construct: fall through to the interpreter.
+    else:
+        backend_stats().interp_runs += 1
+    return _run_interp(source_text, top, max_time, filename, trace,
+                       tree=tree)
 
 
 def run_simulation(source_text: str, top: str | None = None,
@@ -270,26 +202,13 @@ def run_simulation(source_text: str, top: str | None = None,
                    backend: str | None = None) -> SimResult:
     """Parse, elaborate and simulate; never raises on design errors.
 
-    ``backend`` selects ``"compiled"`` (default), ``"codegen"`` (both
-    fall back to the interpreter on unsupported constructs) or
-    ``"interp"``.  With ``trace=True`` (or when the testbench calls
+    ``backend`` selects ``"compiled"`` (default; falls back to the
+    interpreter on unsupported constructs) or ``"interp"``.  With
+    ``trace=True`` (or when the testbench calls
     ``$dumpfile``/``$dumpvars``) the result carries the VCD text.
     """
-    chosen = _resolve_backend(backend)
-    if chosen == "compiled":
-        result = _run_compiled(source_text, top, max_time, filename,
-                               trace)
-        if result is not None:
-            return result
-        # Unsupported construct: fall through to the interpreter.
-    elif chosen == "codegen":
-        result = _run_codegen(source_text, top, max_time, filename,
-                              trace)
-        if result is not None:
-            return result
-    else:
-        backend_stats().interp_runs += 1
-    return _run_interp(source_text, top, max_time, filename, trace)
+    return _simulate(_resolve_backend(backend), source_text, top,
+                     max_time, filename, trace)
 
 
 def _verdict_of(result: SimResult) -> TestbenchVerdict:
@@ -335,8 +254,8 @@ def run_testbench_batch(design_texts: list[str], testbench_text: str,
     pays the bench parse exactly once here: the bench module list is
     parsed up front and grafted onto each candidate's parse tree, so
     per-candidate work on a cache miss is candidate-parse + elaborate
-    + lower only, and on a warm compiled/codegen cache it is zero
-    front-end work.  Verdicts (and backend cache keys) are identical
+    + lower only, and on a warm compiled cache it is zero front-end
+    work.  Verdicts (and backend cache keys) are identical
     to N separate :func:`run_testbench` calls on the concatenated
     sources — the batched and unbatched paths share one digest space.
     """
@@ -357,17 +276,7 @@ def run_testbench_batch(design_texts: list[str], testbench_text: str,
             continue
         merged = ast.SourceFile(
             modules=list(cand_tree.modules) + bench_modules)
-        result = None
-        if chosen == "compiled":
-            result = _run_compiled(merged_text, top, max_time, "<sim>",
-                                   False, tree=merged)
-        elif chosen == "codegen":
-            result = _run_codegen(merged_text, top, max_time, "<sim>",
-                                  False, tree=merged)
-        else:
-            backend_stats().interp_runs += 1
-        if result is None:
-            result = _run_interp(merged_text, top, max_time, "<sim>",
-                                 False, tree=merged)
-        verdicts.append(_verdict_of(result))
+        verdicts.append(_verdict_of(_simulate(
+            chosen, merged_text, top, max_time, "<sim>", False,
+            tree=merged)))
     return verdicts

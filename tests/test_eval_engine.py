@@ -314,18 +314,19 @@ class TestBackendStatsAggregation:
         assert engine.sim_stats.compiles > 0
 
     def test_aggregated_stats_deterministic_across_pools(self):
-        # Forked workers inherit no warm in-memory candidate cache
-        # (clear_cache runs pre-fork), so worker-side sim counts are a
-        # pure function of the task set — identical run to run.
+        # BackendStats counts physical simulations per process, and the
+        # candidate memo (verilog_eval._CACHE) is per worker: which
+        # forked worker serves which cell decides how many simulations
+        # a memo hit saves.  Run counts may therefore differ run to
+        # run; the report and the fallback count may not.
         first = EvalEngine(jobs=3)
-        self._sweep(first)
+        first_report = self._sweep(first)
         second = EvalEngine(jobs=3)
-        self._sweep(second)
+        second_report = self._sweep(second)
+        assert first_report == second_report
         assert first.sim_stats.total_runs > 0
-        for field in ("compiled_runs", "interp_runs", "fallbacks",
-                      "compiles"):
-            assert getattr(first.sim_stats, field) == \
-                getattr(second.sim_stats, field)
+        assert second.sim_stats.total_runs > 0
+        assert first.sim_stats.fallbacks == second.sim_stats.fallbacks
 
     def test_thread_pool_and_serial_stats_are_counted(self):
         serial = EvalEngine(jobs=1)

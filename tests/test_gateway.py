@@ -215,6 +215,18 @@ def test_batched_wait_and_ids_query(stack):
     assert err.value.status == 404
 
 
+@pytest.mark.parametrize("kind,spec", [
+    ("simulate", {"source": TB_PASS, "backend": "codegen"}),
+    ("evaluate", {"suite": "scripts", "sim_backend": "codegen"}),
+])
+def test_unknown_sim_backend_is_a_400(stack, kind, spec):
+    client = ServeClient(stack[1].url)
+    with pytest.raises(ServeError) as err:
+        client.submit(kind, spec)
+    assert err.value.status == 400
+    assert "compiled, interp" in err.value.payload["error"]
+
+
 def test_cancel_and_result_conflict(stack):
     _, server = stack
     client = ServeClient(server.url)

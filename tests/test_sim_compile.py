@@ -3,11 +3,13 @@
 The *semantics* of the compiled backend are pinned by the differential
 fuzz harness and the golden-trace suite; this file covers the machinery
 around it: backend selection, the two-layer
-:class:`~repro.sim.compile.CompiledDesignCache`, fallback accounting,
-and the ``sim_backend`` threading through the evaluation stack.
+:class:`~repro.sim.compile.CompiledDesignCache` and its atomic swap,
+fallback accounting, the multi-candidate batch API, and the
+``sim_backend`` threading through the evaluation stack.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -15,9 +17,10 @@ from repro.bench import thakur_suite
 from repro.eval import clear_cache, evaluate_candidate
 from repro.eval.engine import EvalTask
 from repro.llm import get_model
-from repro.sim import (CompiledDesignCache, backend_stats,
+from repro.sim import (BACKENDS, CompiledDesignCache, backend_stats,
                        compile_design, configure_design_cache, elaborate,
-                       reset_backend_stats, run_simulation, source_digest)
+                       reset_backend_stats, run_simulation, run_testbench,
+                       run_testbench_batch, source_digest)
 from repro.verilog import parse
 
 SIMPLE = """
@@ -36,6 +39,37 @@ module tb;
 endmodule
 """
 
+CLOCKED = """
+module tb;
+  reg clk; reg [3:0] n;
+  always @(posedge clk) n <= n + 4'd1;
+  initial begin
+    clk = 0; n = 0;
+    repeat (8) #5 clk = ~clk;
+    $display("n=%d", n);
+    $finish;
+  end
+endmodule
+"""
+
+DESIGN = """
+module inc(input [3:0] a, output [3:0] y);
+  assign y = a + 4'd1;
+endmodule
+"""
+
+BENCH = """
+module tb;
+  reg [3:0] a; wire [3:0] y;
+  inc dut(.a(a), .y(y));
+  initial begin
+    a = 4'd3; #1;
+    if (y == 4'd4) $display("PASS"); else $display("FAIL");
+    $finish;
+  end
+endmodule
+"""
+
 
 @pytest.fixture(autouse=True)
 def fresh_backend_state():
@@ -50,6 +84,13 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             run_simulation(SIMPLE, backend="vcs")
+
+    def test_cli_rejects_unknown_backend(self):
+        from repro.cli import build_parser
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["simulate", "--sim-backend", "codegen", "x.v"])
+        assert exc.value.code == 2
 
     def test_explicit_interp_is_counted(self):
         result = run_simulation(SIMPLE, backend="interp")
@@ -222,6 +263,79 @@ class TestCompiledDesignCache:
         reset_backend_stats()
         run_simulation(NEEDS_FALLBACK)   # verdict unreadable: re-tries
         assert backend_stats().fallbacks == 1
+
+    def test_verdict_layer_python_version_guard(self, tmp_path,
+                                                monkeypatch):
+        digest = source_digest(NEEDS_FALLBACK, None)
+        cache = configure_design_cache(root=str(tmp_path))
+        cache.record_unsupported(digest, "refused")
+        assert cache.verdict(digest)["reason"] == "refused"
+
+        class _FakeSys:
+            version_info = (0, 0, 0)
+
+        # An interpreter upgrade re-fingerprints the manifest: stale
+        # verdicts degrade to misses.
+        monkeypatch.setattr("repro.sim.compile.sys", _FakeSys)
+        upgraded = configure_design_cache(root=str(tmp_path))
+        assert upgraded.verdict(digest) is None
+
+
+class TestAtomicCacheSwap:
+    def test_reconfigure_races_with_running_simulations(self):
+        errors = []
+        stop = threading.Event()
+
+        def runner():
+            while not stop.is_set():
+                result = run_simulation(CLOCKED)
+                if not (result.ok and result.finished):
+                    errors.append(result.error)
+                    return
+
+        threads = [threading.Thread(target=runner) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        # Each in-flight run bound its cache at entry; the swap is
+        # atomic under the module lock, so nothing can observe a
+        # half-replaced cache.
+        for _ in range(25):
+            configure_design_cache()
+        stop.set()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+
+
+class TestBatchStimulus:
+    def test_batch_matches_serial_on_every_backend(self):
+        wrong = DESIGN.replace("a + 4'd1", "a + 4'd2")
+        candidates = [DESIGN, wrong, DESIGN]
+        for backend in BACKENDS:
+            serial = [run_testbench(text, BENCH, backend=backend)
+                      for text in candidates]
+            batch = run_testbench_batch(candidates, BENCH,
+                                        backend=backend)
+            assert [(v.ok, v.passed, v.failed, v.error)
+                    for v in batch] == \
+                   [(v.ok, v.passed, v.failed, v.error)
+                    for v in serial], backend
+
+    def test_batch_shares_one_compile_per_candidate(self):
+        run_testbench_batch([DESIGN, DESIGN, DESIGN], BENCH)
+        stats = backend_stats()
+        assert stats.compiles == 1          # identical candidates
+        assert stats.compiled_runs == 3
+
+    def test_batch_surfaces_candidate_parse_errors(self):
+        verdicts = run_testbench_batch([DESIGN, "module broken"], BENCH)
+        assert verdicts[0].all_passed
+        assert not verdicts[1].ok and verdicts[1].error
+
+    def test_batch_surfaces_bench_parse_errors(self):
+        verdicts = run_testbench_batch([DESIGN, DESIGN], "endmodule !")
+        assert len(verdicts) == 2
+        assert all(not v.ok and v.error for v in verdicts)
 
 
 class TestCompiledDesignReuse:

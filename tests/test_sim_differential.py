@@ -22,8 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (Simulator, Value, compile_design, elaborate,
-                       generate_module, load_generated)
+from repro.sim import Simulator, Value, compile_design, elaborate
 from repro.verilog import parse
 
 # ---------------------------------------------------------------------------
@@ -290,14 +289,6 @@ def run_compiled(text: str):
     return sim
 
 
-def run_codegen(text: str):
-    design = elaborate(parse(text), "tb")
-    source = generate_module(design, "fuzz")   # CodegenUnsupported =
-    sim = load_generated(source).simulator()   # failure, like compiled
-    sim.run(max_time=100_000)
-    return sim
-
-
 def _assert_matches_interp(interp, comp, text: str) -> None:
     assert interp.display_lines == comp.display_lines, text
     assert interp.time == comp.time, text
@@ -323,7 +314,6 @@ def _assert_matches_interp(interp, comp, text: str) -> None:
 def assert_equivalent(text: str) -> None:
     interp = run_interp(text)
     _assert_matches_interp(interp, run_compiled(text), text)
-    _assert_matches_interp(interp, run_codegen(text), text)
 
 
 _COMMON = dict(deadline=None, derandomize=True,
