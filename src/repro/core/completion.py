@@ -17,34 +17,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ..verilog import TokenKind, tokenize
+from ..verilog import tokenize
 from .records import Record, Task, make_record
-
-
-def _token_spans(text: str) -> list[tuple[int, int]]:
-    """(start, end) byte offsets of every token in ``text``."""
-    line_starts = [0]
-    for pos, ch in enumerate(text):
-        if ch == "\n":
-            line_starts.append(pos + 1)
-    spans = []
-    for token in tokenize(text):
-        if token.kind is TokenKind.EOF:
-            break
-        start = line_starts[token.line - 1] + token.col - 1
-        spans.append((start, start + max(len(token.value), 1)))
-    return spans
+from .textspan import token_spans
 
 
 def module_level(text: str) -> Iterator[Record]:
     """Header → body prediction (1 record per module)."""
-    tokens = tokenize(text)
-    spans = _token_spans(text)
-    header_end = None
-    for pos, token in enumerate(tokens):
-        if token.is_op(";"):
-            header_end = spans[pos][1]
-            break
+    header_end = next((span.end for span in token_spans(text)
+                       if span.token.is_op(";")), None)
     if header_end is None:
         return
     yield make_record(Task.MODULE_COMPLETION,
@@ -56,13 +37,10 @@ def module_level(text: str) -> Iterator[Record]:
 def statement_level(text: str,
                     max_records: int | None = None) -> Iterator[Record]:
     """Prefix-up-to-``;`` → next statement prediction (*j* records)."""
-    tokens = tokenize(text)
-    spans = _token_spans(text)
-    semis = [pos for pos, token in enumerate(tokens) if token.is_op(";")]
+    semi_ends = [span.end for span in token_spans(text)
+                 if span.token.is_op(";")]
     count = 0
-    for boundary_pos in range(len(semis) - 1):
-        prefix_end = spans[semis[boundary_pos]][1]
-        next_end = spans[semis[boundary_pos + 1]][1]
+    for prefix_end, next_end in zip(semi_ends, semi_ends[1:]):
         prefix = text[:prefix_end].strip()
         statement = text[prefix_end:next_end].strip()
         if not statement:
@@ -77,11 +55,11 @@ def statement_level(text: str,
 def token_level(text: str,
                 max_records: int | None = None) -> Iterator[Record]:
     """Token prefix → next token prediction (*i* records)."""
-    spans = _token_spans(text)
+    spans = token_spans(text)
     count = 0
-    for pos in range(1, len(spans)):
-        prefix = text[:spans[pos - 1][1]].strip()
-        nxt = text[spans[pos][0]:spans[pos][1]]
+    for prev, span in zip(spans, spans[1:]):
+        prefix = text[:prev.end].strip()
+        nxt = text[span.start:span.end]
         yield make_record(Task.WORD_COMPLETION, prefix, nxt, level="token")
         count += 1
         if max_records is not None and count >= max_records:

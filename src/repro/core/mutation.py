@@ -189,12 +189,13 @@ class Mutator:
         chosen: list[Edit] = []
         applied: list[AppliedMutation] = []
         rule_pool = [rule] if rule else list(self.rules)
+        spans = token_spans(text)
         attempts = 0
         while len(chosen) < count and attempts < count * 8:
             attempts += 1
             picked_rule = self.rng.choice(rule_pool)
-            candidates = self.candidates(text, picked_rule)
-            candidates = [c for c in candidates
+            rule_candidates = getattr(self, f"_candidates_{picked_rule}")
+            candidates = [c for c in rule_candidates(spans, text)
                           if not _overlaps(c, chosen)]
             if not candidates:
                 continue

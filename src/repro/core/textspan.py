@@ -6,6 +6,7 @@ longer parse); it locates edit sites via lexer tokens and their byte spans.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..verilog import Token, TokenKind, tokenize
@@ -30,10 +31,7 @@ def token_spans(text: str) -> list[TokenSpan]:
     Strings and escaped identifiers report the span of their *value* only,
     so callers that plan to splice text should avoid them as targets.
     """
-    line_starts = [0]
-    for pos, ch in enumerate(text):
-        if ch == "\n":
-            line_starts.append(pos + 1)
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     spans = []
     for token in tokenize(text):
         if token.kind is TokenKind.EOF:

@@ -9,13 +9,13 @@ simulator (:mod:`repro.sim`) all operate.
 from . import ast_nodes as ast
 from .errors import (VerilogError, VerilogLexError, VerilogSemanticError,
                      VerilogSyntaxError)
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse, parse_module
 from .tokens import KEYWORDS, Token, TokenKind
 from .unparser import Unparser, unparse
 
 __all__ = [
-    "ast", "parse", "parse_module", "Parser", "tokenize", "Lexer",
+    "ast", "parse", "parse_module", "Parser", "tokenize",
     "unparse", "Unparser", "Token", "TokenKind", "KEYWORDS",
     "VerilogError", "VerilogLexError", "VerilogSyntaxError",
     "VerilogSemanticError",
