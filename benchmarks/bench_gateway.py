@@ -4,8 +4,8 @@ Three scenarios in the fixed-total/fixed-concurrency style (stress,
 cold-start, kill-a-worker-mid-drain), each reporting wall time,
 sustained jobs/s and p50/p95/p99 end-to-end latency where it applies.
 Results merge into ``BENCH_serve.json`` under ``"scenarios"`` next to
-the legacy daemon numbers, so the serving-layer trajectory (ROADMAP
-Open item 1: 10–100x the threaded ~311 jobs/s) is tracked per PR.
+``bench_serve.py``'s single-client numbers, so the serving-layer
+trajectory is tracked per PR.
 
 * **stress** — C concurrent keep-alive clients each push M probe jobs
   through ``POST /api/submit`` with a bounded in-flight window; one
@@ -13,7 +13,7 @@ Open item 1: 10–100x the threaded ~311 jobs/s) is tracked per PR.
   Latency is submit-request → observed-terminal per job.
 * **cold_start** — journal a probe backlog, hard-stop, then measure
   store replay, gateway time-to-first-health, and backlog drain.
-* **kill_worker** — a real ``repro serve --gateway`` subprocess is
+* **kill_worker** — a real ``repro serve`` subprocess is
   SIGKILLed mid-drain and restarted; the round trip must lose nothing
   and the re-drain time is reported.
 """
@@ -216,7 +216,7 @@ def _spawn_gateway(store: str):
                          + env.get("PYTHONPATH", ""))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--store", store,
-         "--port", "0", "--workers", "2", "--gateway"],
+         "--port", "0", "--workers", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env, cwd=REPO)
     url = None

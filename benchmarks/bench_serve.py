@@ -1,18 +1,17 @@
 """Benchmark: job-service throughput + cold-resume latency.
 
-Measures end-to-end jobs/sec through the daemon's HTTP API (submit →
-schedule → execute → journal → fetch result) and how quickly a fresh
-daemon resumes a journaled backlog after a hard stop, then writes
-``BENCH_serve.json`` at the repo root so the serving-layer trajectory
-is tracked from PR to PR.
+Measures end-to-end jobs/sec through the daemon's HTTP API, served by
+the asyncio gateway (submit → schedule → execute → journal → fetch
+result), and how quickly a fresh daemon resumes a journaled backlog
+after a hard stop, then writes ``BENCH_serve.json`` at the repo root so
+the serving-layer trajectory is tracked from PR to PR.
 """
 
 import json
 import os
-import threading
 import time
 
-from repro.serve import Daemon, JobStore, ServeClient, make_server
+from repro.serve import Daemon, GatewayServer, JobStore, ServeClient
 
 N_THROUGHPUT_JOBS = 24
 N_BACKLOG_JOBS = 12
@@ -34,16 +33,13 @@ def _tb_source(index: int) -> str:
 
 def _run_daemon(store: str):
     daemon = Daemon(store, workers=2, configure_sim_cache=False)
-    server = make_server(daemon, port=0)
     daemon.start()
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
-    return daemon, server, client
+    server = GatewayServer(daemon).start()
+    return daemon, server, ServeClient(server.url)
 
 
 def _shutdown(daemon, server) -> None:
-    server.shutdown()
-    server.server_close()
+    server.stop()
     daemon.stop()
 
 

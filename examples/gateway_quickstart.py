@@ -18,7 +18,7 @@ Run it with::
 
 The CLI equivalent, against a long-lived gateway::
 
-    repro serve --gateway --store /tmp/serve-store --workers 2 \
+    repro serve --store /tmp/serve-store --workers 2 \
         --tenant 'vip=50:100:256:10' --tenant 'batch=5:10' &
     repro submit --tenant vip probe --payload smoke-test
     repro status

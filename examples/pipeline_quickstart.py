@@ -1,7 +1,8 @@
 """Quickstart: the augment → train → evaluate pipeline (``repro pipeline``).
 
-Boots the job daemon in-process, submits the three stages as one
-dependency DAG, waits, and prints the trained model's loss curve and
+Boots the job daemon in-process behind the asyncio gateway (the
+service's HTTP front end), submits the three stages as one dependency
+DAG, waits, and prints the trained model's loss curve and
 its benchmark column next to a paper baseline.  Then resubmits the
 identical DAG to show the warm path: the augment shard cache, the
 train checkpoint store and the eval cell cache mean the whole loop
@@ -25,9 +26,8 @@ Or without a daemon (direct, still checkpointed and resumable)::
 import json
 import os
 import tempfile
-import threading
 
-from repro.serve import Daemon, ServeClient, make_server
+from repro.serve import Daemon, GatewayServer, ServeClient
 
 DFF = """module dff(input clk, input d, output reg q);
   always @(posedge clk) q <= d;
@@ -48,11 +48,9 @@ TRAIN_KNOBS = {"epochs": 2, "batch_size": 4, "micro_batch": 2,
 
 def boot(store: str):
     daemon = Daemon(store, workers=2)
-    server = make_server(daemon, port=0)
     daemon.start()
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = f"http://127.0.0.1:{server.server_address[1]}"
-    return daemon, server, ServeClient(url)
+    server = GatewayServer(daemon).start()
+    return daemon, server, ServeClient(server.url)
 
 
 def run_dag(client: ServeClient, corpus: str) -> tuple[dict, dict]:
@@ -115,8 +113,7 @@ def main() -> None:
     print(f"  cache manifests: "
           f"{json.dumps(health['caches'], sort_keys=True)}")
 
-    server.shutdown()
-    server.server_close()
+    server.stop()
     daemon.stop()
 
 

@@ -1,9 +1,10 @@
 """Quickstart: the crash-safe job service (``repro serve``).
 
-Boots a daemon in-process on an ephemeral port, submits one job of
-each kind over the HTTP API, waits for the results, prints the health
-report, then restarts the daemon on the same store to show that the
-journal makes everything durable:
+Boots a daemon in-process behind the asyncio gateway (the service's
+HTTP front end) on an ephemeral port, submits one job of each kind over
+the HTTP API, waits for the results, prints the health report, then
+restarts the daemon on the same store to show that the journal makes
+everything durable:
 
     python examples/serve_quickstart.py
 
@@ -19,9 +20,8 @@ The CLI equivalent, against a long-lived daemon::
 
 import os
 import tempfile
-import threading
 
-from repro.serve import Daemon, ServeClient, make_server
+from repro.serve import Daemon, GatewayServer, ServeClient
 
 TB = """module tb;
   reg [3:0] n;
@@ -40,13 +40,11 @@ endmodule
 
 
 def boot(store: str):
-    """One daemon + HTTP server on an ephemeral port."""
+    """One daemon + gateway on an ephemeral port."""
     daemon = Daemon(store, workers=2)
-    server = make_server(daemon, port=0)
     daemon.start()
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = f"http://127.0.0.1:{server.server_address[1]}"
-    return daemon, server, ServeClient(url)
+    server = GatewayServer(daemon).start()
+    return daemon, server, ServeClient(server.url)
 
 
 def main() -> None:
@@ -95,8 +93,7 @@ def main() -> None:
     print(f"  caches: {health['caches']}")
     print(f"  sim:    {health['sim_backend']['summary']}")
 
-    server.shutdown()
-    server.server_close()
+    server.stop()
     daemon.stop()
 
     print()
@@ -107,8 +104,7 @@ def main() -> None:
     for job in client.jobs():
         print(f"  {job['id']}: {job['kind']:<10} {job['state']} "
               f"(still served from the journal)")
-    server.shutdown()
-    server.server_close()
+    server.stop()
     daemon.stop()
 
 

@@ -23,9 +23,8 @@ Commands mirror the tool chain a user drives interactively:
   Tables 3–5 through the engine)
 * ``serve``     — run the crash-safe job daemon (``repro.serve``):
   augmentation, evaluation, simulation and experiments as journaled,
-  resumable jobs behind a JSON HTTP API; ``--gateway`` swaps the
-  threaded front end for the asyncio multi-tenant gateway (tenant
-  rate limits/quotas via ``X-Repro-Tenant``, SSE job streams,
+  resumable jobs behind the asyncio multi-tenant JSON HTTP gateway
+  (tenant rate limits/quotas via ``X-Repro-Tenant``, SSE job streams,
   429 + ``Retry-After`` backpressure — see ``repro.serve.gateway``)
 * ``submit`` / ``status`` / ``result`` / ``cancel`` — client commands
   talking to a running daemon (``--url``, ``--tenant``)
@@ -512,43 +511,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import Daemon, make_server
-    from .serve import JOB_KINDS
-    budgets = {}
-    for item in args.budget or ():
-        kind, _, count = item.partition("=")
-        if kind not in JOB_KINDS or not count.isdigit():
-            print(f"bad --budget '{item}' (want kind=N with kind in "
-                  f"{', '.join(JOB_KINDS)}; N=0 pauses the kind)",
-                  file=sys.stderr)
-            return 2
-        budgets[kind] = int(count)
-    daemon = Daemon(args.store, budgets=budgets or None,
-                    engine_jobs=args.jobs, workers=args.workers,
-                    batch_limit=args.batch_limit)
-    if args.gateway:
-        return _serve_gateway(args, daemon)
-    server = make_server(daemon, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    daemon.start()
-    if daemon.store.recovered:
-        print(f"-- recovered {len(daemon.store.recovered)} "
-              f"interrupted job(s): "
-              f"{', '.join(daemon.store.recovered)}", flush=True)
-    print(f"-- serving on http://{host}:{port} "
-          f"(store {args.store})", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        daemon.stop()
-        print("-- daemon stopped (store compacted)")
-    return 0
-
-
 def _parse_tenants(items) -> dict:
     """``name=rate[:burst[:max_active[:boost]]]`` → policy map.
 
@@ -572,11 +534,20 @@ def _parse_tenants(items) -> dict:
     return tenants
 
 
-def _serve_gateway(args: argparse.Namespace, daemon) -> int:
-    """Foreground asyncio gateway in front of ``daemon``."""
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the daemon behind the asyncio gateway in the foreground."""
     import asyncio
 
-    from .serve import Gateway, GatewayConfig
+    from .serve import JOB_KINDS, Daemon, Gateway, GatewayConfig
+    budgets = {}
+    for item in args.budget or ():
+        kind, _, count = item.partition("=")
+        if kind not in JOB_KINDS or not count.isdigit():
+            print(f"bad --budget '{item}' (want kind=N with kind in "
+                  f"{', '.join(JOB_KINDS)}; N=0 pauses the kind)",
+                  file=sys.stderr)
+            return 2
+        budgets[kind] = int(count)
     try:
         tenants = _parse_tenants(args.tenant)
     except ValueError as exc:
@@ -586,6 +557,9 @@ def _serve_gateway(args: argparse.Namespace, daemon) -> int:
     config = GatewayConfig(
         max_queue_depth=args.max_queue_depth, tenants=tenants,
         allow_unknown_tenants=not args.strict_tenants)
+    daemon = Daemon(args.store, budgets=budgets or None,
+                    engine_jobs=args.jobs, workers=args.workers,
+                    batch_limit=args.batch_limit)
 
     async def _main() -> None:
         gateway = Gateway(daemon, host=args.host, port=args.port,
@@ -990,10 +964,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", action="append", metavar="KIND=N",
                    help="per-kind concurrent-batch budget, e.g. "
                         "simulate=4 (repeatable)")
+    # No-op: the gateway is the only front end.  Kept (hidden) because
+    # existing command lines, perfbench's serve-mix among them, pass it.
     p.add_argument("--gateway", action="store_true",
-                   help="serve through the asyncio multi-tenant "
-                        "gateway (tenant rate limits, SSE streams, "
-                        "backpressure) instead of the threaded server")
+                   help=argparse.SUPPRESS)
     p.add_argument("--max-queue-depth", type=int, default=512,
                    help="gateway admission ceiling on queued+running "
                         "jobs before submits get 429s (default 512)")

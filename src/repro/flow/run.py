@@ -65,7 +65,7 @@ class FlowRun:
 
 
 def submit_flow(client, blob: dict) -> FlowRun:
-    """Submit a flow through a :class:`ServeClient` (daemon or gateway)."""
+    """Submit a flow through a :class:`ServeClient`."""
     payload = client.submit_flow(blob)
     return FlowRun(name=payload.get("flow", flow_name(blob)),
                    jobs=payload["nodes"])

@@ -41,55 +41,14 @@ from ..llm.tiny_transformer import TinyTransformerLM
 __all__ = ["forward_logits", "sample_tokens"]
 
 
-# -- side-effect-free forward mirrors ------------------------------------
-
-
-def _attn_apply(attn, x: np.ndarray) -> np.ndarray:
-    """Mirror of ``CausalSelfAttention.forward`` without caching."""
-    q = attn._split(attn.q_proj.apply(x))
-    k = attn._split(attn.k_proj.apply(x))
-    v = attn._split(attn.v_proj.apply(x))
-    scale = 1.0 / np.sqrt(attn.d_head)
-    scores = q @ k.transpose(0, 1, 3, 2) * scale
-    seq = x.shape[1]
-    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    scores = np.where(mask, -1e9, scores)
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    context = probs @ v
-    return attn.out_proj.apply(attn._merge(context))
-
-
-def _block_apply(block, x: np.ndarray) -> np.ndarray:
-    x = x + _attn_apply(block.attn, block.ln1.apply(x))
-    hidden = block.mlp.fc1.apply(block.ln2.apply(x))
-    return x + block.mlp.fc2.apply(np.maximum(hidden, 0.0))
-
-
-def forward_logits(model: TinyTransformerLM, ids: np.ndarray) -> np.ndarray:
-    """(B, T) ids → (B, T, V) logits, without mutating module state.
-
-    Same arithmetic as ``TinyTransformerLM.forward`` (LoRA adapters
-    included when attached) but safe to call concurrently: nothing is
-    written to the model's backprop caches.
-    """
-    if ids.shape[1] > model.config.max_len:
-        raise ValueError("sequence longer than max_len")
-    x = model.tok_emb.value[ids] + model.pos_emb.value[:ids.shape[1]]
-    for block in model.blocks:
-        x = _block_apply(block, x)
-    x = model.ln_final.apply(x)
-    return model.head.apply(x)
-
-
-# -- KV-cache prefill and incremental step -------------------------------
+# -- side-effect-free forward, KV-cache prefill and incremental step ----
 
 
 def _prefill(model: TinyTransformerLM, ids: np.ndarray
              ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Full forward over the padded prompt batch, returning the logits
-    plus each layer's split keys/values ``(B, H, T, d_head)``."""
+    """Side-effect-free full forward over ``ids`` (a right-padded
+    prompt batch or a sliding window), returning the logits plus each
+    layer's split keys/values ``(B, H, T, d_head)``."""
     x = model.tok_emb.value[ids] + model.pos_emb.value[:ids.shape[1]]
     seq = ids.shape[1]
     mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
@@ -112,6 +71,19 @@ def _prefill(model: TinyTransformerLM, ids: np.ndarray
         x = x + block.mlp.fc2.apply(np.maximum(hidden, 0.0))
     x = model.ln_final.apply(x)
     return model.head.apply(x), layer_kv
+
+
+def forward_logits(model: TinyTransformerLM, ids: np.ndarray) -> np.ndarray:
+    """(B, T) ids → (B, T, V) logits, without mutating module state.
+
+    Same arithmetic as ``TinyTransformerLM.forward`` (LoRA adapters
+    included when attached) but safe to call concurrently: nothing is
+    written to the model's backprop caches.  This is :func:`_prefill`
+    with the keys/values dropped.
+    """
+    if ids.shape[1] > model.config.max_len:
+        raise ValueError("sequence longer than max_len")
+    return _prefill(model, ids)[0]
 
 
 def _step(model: TinyTransformerLM, tokens: np.ndarray,

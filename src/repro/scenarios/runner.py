@@ -2,7 +2,7 @@
 
 Flow-backed scenarios run either *direct* (topo-serial in process, no
 daemon — the determinism reference) or *daemon* (a private in-process
-daemon + HTTP server per scenario, exercising the whole journaled
+daemon + gateway per scenario, exercising the whole journaled
 submit/schedule/batch path).  Operational scenarios (``ops``) always
 drive their own topology — subprocess daemons to SIGKILL, gateway
 front ends to stress — and ignore ``via``.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -85,23 +84,18 @@ def manifest_counters(workdir: str) -> dict[str, dict]:
 def run_flow_daemon(flow: dict, store_dir: str, *,
                     workers: int = 2, engine_jobs: int = 1,
                     timeout: float = 600.0) -> dict[str, dict]:
-    """Run one flow through a private in-process daemon + HTTP server."""
+    """Run one flow through a private in-process daemon + gateway."""
     from ..flow import run_flow
-    from ..serve import Daemon, ServeClient, make_server
+    from ..serve import Daemon, GatewayServer, ServeClient
 
     daemon = Daemon(store_dir, workers=workers, engine_jobs=engine_jobs,
                     configure_sim_cache=False)
-    server = make_server(daemon, port=0)
     daemon.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServeClient(
-        f"http://127.0.0.1:{server.server_address[1]}")
+    server = GatewayServer(daemon).start()
     try:
-        return run_flow(client, flow, timeout=timeout)
+        return run_flow(ServeClient(server.url), flow, timeout=timeout)
     finally:
-        server.shutdown()
-        server.server_close()
+        server.stop()
         daemon.stop()
 
 

@@ -15,24 +15,24 @@ freshly trained model —
   fingerprint-compatible batching
 * :mod:`executor`  — deterministic job execution (results are pure
   functions of the spec; byte-identical direct vs daemon vs resumed)
-* :mod:`daemon`    — worker threads + threaded JSON-over-HTTP API
-* :mod:`gateway`   — asyncio multi-tenant front end: one event loop
-  for thousands of connections, ``X-Repro-Tenant`` token-bucket rate
-  limits and quotas, SSE job-progress streams
+* :mod:`daemon`    — store + scheduler + worker threads: the
+  execution backend
+* :mod:`gateway`   — the one HTTP front end: the JSON API on one
+  asyncio event loop for thousands of connections, ``X-Repro-Tenant``
+  token-bucket rate limits and quotas, SSE job-progress streams
   (``GET /api/events/<id>``), and 429 + ``Retry-After`` backpressure
-  once queue depth or a tenant budget is exhausted — same execution
-  backend, byte-identical results
+  once queue depth or a tenant budget is exhausted
 * :mod:`client`    — stdlib client used by the CLI and tests (batched
   ``wait()``, tenant header support)
 
 Proven by the fault-injection harness in
-``tests/test_serve_recovery.py`` (both front ends) and stress-tested
+``tests/test_serve_recovery.py`` and stress-tested
 by the scenario benchmarks in ``benchmarks/bench_gateway.py``; see
 ROADMAP "repro.serve".
 """
 
 from .client import DEFAULT_URL, ServeClient, ServeError
-from .daemon import DEFAULT_PORT, Daemon, make_server
+from .daemon import DEFAULT_PORT, Daemon
 from .executor import (BatchResult, JobOutcome, compat_key, execute_batch,
                        execute_job)
 from .gateway import Gateway, GatewayConfig, GatewayServer, TenantPolicy
@@ -51,7 +51,7 @@ __all__ = [
     "Scheduler", "Batch", "DEFAULT_BUDGETS", "DEFAULT_BATCH_LIMIT",
     "compat_key", "execute_batch", "execute_job", "JobOutcome",
     "BatchResult",
-    "Daemon", "make_server", "DEFAULT_PORT",
+    "Daemon", "DEFAULT_PORT",
     "Gateway", "GatewayConfig", "GatewayServer", "TenantPolicy",
     "ServeClient", "ServeError", "DEFAULT_URL",
 ]

@@ -1,10 +1,9 @@
-"""Thin stdlib HTTP client for the job daemon and the gateway.
+"""Thin stdlib HTTP client for the job service's gateway.
 
 Used by ``repro submit/status/result/cancel`` and by the test
 harnesses; every method mirrors one endpoint of
-:mod:`repro.serve.daemon` (the asyncio gateway serves the same
-surface).  Construct with ``tenant="name"`` to stamp every request
-with the gateway's ``X-Repro-Tenant`` header; a 429 from admission
+:mod:`repro.serve.gateway`.  Construct with ``tenant="name"`` to stamp
+every request with the ``X-Repro-Tenant`` header; a 429 from admission
 control surfaces as :class:`ServeError` with ``retry_after`` set from
 the ``Retry-After`` header.
 """
@@ -37,7 +36,7 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """Talk to one daemon/gateway at ``url`` (default local port)."""
+    """Talk to one gateway at ``url`` (default local port)."""
 
     def __init__(self, url: str = DEFAULT_URL, timeout: float = 30.0,
                  tenant: str | None = None):

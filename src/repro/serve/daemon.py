@@ -1,4 +1,4 @@
-"""The long-lived job daemon and its JSON-over-HTTP API.
+"""The long-lived job daemon behind the asyncio gateway.
 
 One :class:`Daemon` owns a :class:`~repro.serve.store.JobStore`, a
 :class:`~repro.serve.scheduler.Scheduler` and a small pool of worker
@@ -29,21 +29,6 @@ State transitions can be observed via :meth:`Daemon.add_listener`
 journaled, outside all locks) — the asyncio gateway uses this to
 stream SSE job-progress events and keep per-tenant accounting live.
 
-API surface (all JSON)::
-
-    POST /api/submit            {kind, spec, priority?, after?} → job
-    POST /api/flow              DAG spec → {flow, nodes: {name: job}}
-    GET  /api/jobs[?ids=a,b]    [job, ...] (optionally only those ids)
-    GET  /api/job/<id>          job
-    GET  /api/result/<id>       result blob (409 until done)
-    POST /api/cancel/<id>       job (409 unless still queued)
-    GET  /api/health            queues, budgets, counts, caches, sim
-
-The asyncio front end (:mod:`repro.serve.gateway`) serves the same
-surface plus tenants, SSE streaming and admission control on one event
-loop; this threaded server remains as the minimal-dependency fallback
-and the execution backend either way.
-
 The health payload reports queue depths and in-flight batches per
 kind, job-state counts, ``last_run`` hit/miss counters from every
 cache manifest under the work dir, and the daemon's aggregated
@@ -58,8 +43,6 @@ import os
 import sys
 import threading
 from collections.abc import Callable
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
 from .executor import execute_batch
 from .jobs import SpecError, validate_spec
@@ -171,14 +154,6 @@ class Daemon:
                     pass
 
     # -- operations (thread-safe) -----------------------------------------
-
-    def submit(self, kind: str, spec: dict, priority: int = 0,
-               after: list[str] | None = None):
-        outcome = self.submit_many([(kind, spec, priority,
-                                     list(after or ()))])[0]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
     def submit_many(self, requests: list[tuple[str, dict, int,
                                                list[str]]]
@@ -485,132 +460,3 @@ class Daemon:
                 with self._cond:
                     self.scheduler.finish(batch)
                     self._cond.notify_all()
-
-
-# --------------------------------------------------------------------------
-# HTTP layer
-# --------------------------------------------------------------------------
-
-class _Handler(BaseHTTPRequestHandler):
-    """JSON request/response plumbing around one :class:`Daemon`."""
-
-    daemon_ref: Daemon = None       # set by make_server
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, *args) -> None:     # quiet by default
-        pass
-
-    def _reply(self, code: int, payload) -> None:
-        """Send one JSON response; a client that hung up mid-response
-        is dropped silently (handler threads must survive disconnects,
-        not spray tracebacks)."""
-        body = (json.dumps(payload, ensure_ascii=False, sort_keys=True)
-                + "\n").encode("utf-8")
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-
-    def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0") or 0)
-        if not length:
-            return {}
-        blob = json.loads(self.rfile.read(length).decode("utf-8"))
-        if not isinstance(blob, dict):
-            raise ValueError("request body must be a JSON object")
-        return blob
-
-    def do_GET(self) -> None:
-        try:
-            self._route_get()
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-
-    def _route_get(self) -> None:
-        daemon = self.daemon_ref
-        url = urlsplit(self.path)
-        path = url.path.rstrip("/")
-        if path == "/api/health":
-            self._reply(200, daemon.health())
-        elif path == "/api/jobs":
-            ids_raw = parse_qs(url.query).get("ids")
-            ids = None
-            if ids_raw:
-                ids = [job_id for chunk in ids_raw
-                       for job_id in chunk.split(",") if job_id]
-            self._reply(200, daemon.jobs(ids))
-        elif path.startswith("/api/job/"):
-            job = daemon.job(path.rsplit("/", 1)[1])
-            if job is None:
-                self._reply(404, {"error": "unknown job"})
-            else:
-                self._reply(200, job)
-        elif path.startswith("/api/result/"):
-            job_id = path.rsplit("/", 1)[1]
-            job = daemon.job(job_id)
-            if job is None:
-                self._reply(404, {"error": "unknown job"})
-            elif job["state"] != "done":
-                self._reply(409, {"error": f"job is {job['state']}",
-                                  "job": job})
-            else:
-                result = daemon.result(job_id)
-                if result is None:
-                    self._reply(500, {"error": "result unavailable"})
-                else:
-                    self._reply(200, result)
-        else:
-            self._reply(404, {"error": f"unknown path {self.path}"})
-
-    def do_POST(self) -> None:
-        daemon = self.daemon_ref
-        path = urlsplit(self.path).path.rstrip("/")
-        try:
-            if path == "/api/submit":
-                body = self._body()
-                after = body.get("after") or []
-                if not (isinstance(after, list)
-                        and all(isinstance(a, str) for a in after)):
-                    raise ValueError("'after' must be a list of job ids")
-                job = daemon.submit(body.get("kind", ""),
-                                    body.get("spec", {}),
-                                    priority=int(body.get("priority",
-                                                          0)),
-                                    after=after)
-                self._reply(200, job)
-            elif path == "/api/flow":
-                self._reply(200, daemon.submit_flow(self._body()))
-            elif path.startswith("/api/cancel/"):
-                job_id = path.rsplit("/", 1)[1]
-                job = daemon.cancel(job_id)
-                if job is not None:
-                    self._reply(200, job)
-                elif daemon.job(job_id) is None:
-                    self._reply(404, {"error": "unknown job"})
-                else:
-                    self._reply(409, {"error": "job is not queued",
-                                      "job": daemon.job(job_id)})
-            else:
-                self._reply(404, {"error": f"unknown path {self.path}"})
-        except SpecError as exc:
-            self._reply(400, {"error": str(exc)})
-        except (ValueError, TypeError) as exc:
-            self._reply(400, {"error": f"bad request: {exc}"})
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-
-
-def make_server(daemon: Daemon, host: str = "127.0.0.1",
-                port: int = DEFAULT_PORT) -> ThreadingHTTPServer:
-    """Bind (but do not run) the daemon's threaded HTTP server.
-
-    ``port=0`` binds an ephemeral port; read it back from
-    ``server.server_address``.  For the asyncio front end (tenants,
-    SSE, backpressure) see :func:`repro.serve.gateway.serve_gateway`.
-    """
-    handler = type("BoundHandler", (_Handler,), {"daemon_ref": daemon})
-    return ThreadingHTTPServer((host, port), handler)

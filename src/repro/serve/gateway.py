@@ -1,8 +1,9 @@
-"""Asyncio multi-tenant serving gateway in front of the job daemon.
+"""The job daemon's HTTP front end: an asyncio multi-tenant gateway.
 
 One event loop accepts thousands of concurrent HTTP/1.1 connections
-and serves the daemon's whole JSON API plus the multi-user features
-the threaded server lacks:
+and serves the daemon's whole JSON API (routes below).  With no tenant
+configured every request gets the open default policy, which is plain
+daemon behaviour; on top of that it adds the multi-user features:
 
 * **Tenants** — requests carry an ``X-Repro-Tenant`` header resolved
   against configured :class:`TenantPolicy` entries (token-bucket rate
@@ -28,18 +29,22 @@ The execution backend is untouched: the same worker threads,
 :class:`~repro.serve.scheduler.Scheduler` and journal-first
 :class:`~repro.serve.store.JobStore` run behind the loop, bridged with
 ``loop.run_in_executor`` for lock-taking reads and daemon transition
-listeners for push events.  Job results are byte-identical to the
-threaded front end — the gateway adds no execution semantics.
+listeners for push events.  Job results are byte-identical to direct
+runs — the gateway adds no execution semantics.
 
 Routes::
 
-    POST /api/submit            admission-controlled submit (tenant aware)
+    POST /api/submit            {kind, spec, priority?, after?} → job
+                                (admission-controlled, tenant aware)
+    POST /api/flow              DAG spec → {flow, nodes: {name: job}}
     GET  /api/jobs[?ids=a,b]    lock-free job table (or subset) snapshot
+    GET  /api/states?ids=a,b    {id: state} for high-rate pollers
     GET  /api/job/<id>          one job
     GET  /api/result/<id>       result blob (409 until done)
     GET  /api/events/<id>       SSE job progress stream
-    POST /api/cancel/<id>       cancel a queued job
-    GET  /api/health            daemon health (disk scan off-loop)
+    POST /api/cancel/<id>       cancel a queued job (409 unless queued)
+    GET  /api/health            queues, budgets, counts, caches, sim
+                                (disk scan off-loop)
     GET  /api/gateway           gateway/tenant admission counters
 
 Quickstart: ``examples/gateway_quickstart.py``; benchmark scenarios:
@@ -70,7 +75,11 @@ _EARLY_TERMINAL_CAP = 8192
 
 
 class _BadRequest(Exception):
-    """Client-side protocol error → 400 and close."""
+    """Client-side protocol error → ``status`` (400 or 413) and close."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -476,7 +485,7 @@ class Gateway:
                 if not keep:
                     return
         except _BadRequest as exc:
-            await self._send_json(writer, 400, {"error": str(exc)},
+            await self._send_json(writer, exc.status, {"error": str(exc)},
                                   keep_alive=False)
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
@@ -534,7 +543,9 @@ class Gateway:
         if length < 0:
             raise _BadRequest("invalid Content-Length")
         if length > self.config.max_body_bytes:
-            raise _BadRequest("request body too large")
+            # Answered before a byte of the body is read; the connection
+            # closes, so the unread body never reaches the parser.
+            raise _BadRequest("request body too large", 413)
         data = b""
         while len(data) < length:
             chunk = await reader.read(length - len(data))
@@ -652,7 +663,7 @@ class Gateway:
                 await send(404, {"error": f"unsupported method "
                                  f"{method}"})
         except _BadRequest as exc:
-            await self._send_json(writer, 400, {"error": str(exc)},
+            await self._send_json(writer, exc.status, {"error": str(exc)},
                                   keep_alive=False)
             return False
         return True

@@ -5,14 +5,13 @@
   (hypothesis property) — including across a randomized SIGKILL /
   resume round (tier-2).
 * Malformed graphs (duplicate node names, self edges, cycles, unknown
-  refs/kinds) must come back as HTTP 400s from both front ends — the
-  daemon and the asyncio gateway — and must leave the service healthy.
+  refs/kinds) must come back as HTTP 400s from the gateway and must
+  leave the service healthy.
 * Fan-out results are invariant to ``--jobs`` and to the transport.
 """
 
 import os
 import random
-import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,8 +20,7 @@ from hypothesis import strategies as st
 from repro.flow import pipeline_flow, run_flow, run_flow_direct, \
     validate_flow
 from repro.serve import (Daemon, GatewayConfig, GatewayServer,
-                         ServeClient, ServeError, TenantPolicy,
-                         make_server)
+                         ServeClient, ServeError, TenantPolicy)
 from test_serve_recovery import MODULE_A, MODULE_B, _spawn, _stop
 
 _SETTINGS = dict(deadline=None, derandomize=True,
@@ -64,18 +62,14 @@ def _corpus(root) -> str:
 
 @pytest.fixture(scope="module")
 def stack(tmp_path_factory):
-    """One shared in-process daemon + HTTP server for the module."""
+    """One shared in-process daemon + gateway for the module."""
     root = tmp_path_factory.mktemp("flow-service")
     daemon = Daemon(str(root / "store"), workers=2,
                     configure_sim_cache=False)
-    server = make_server(daemon, port=0)
     daemon.start()
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    client = ServeClient(
-        f"http://127.0.0.1:{server.server_address[1]}")
-    yield daemon, client, root
-    server.shutdown()
-    server.server_close()
+    server = GatewayServer(daemon).start()
+    yield daemon, ServeClient(server.url), root
+    server.stop()
     daemon.stop()
 
 
@@ -118,18 +112,6 @@ class TestDaemonFlow:
         via = run_flow(client, blob, timeout=60)
         assert via == direct
 
-    def test_rejects_bad_flows_with_400_and_survives(self, stack):
-        daemon, client, root = stack
-        for name, (blob, fragment) in BAD_FLOWS.items():
-            with pytest.raises(ServeError) as err:
-                client.submit_flow(blob)
-            assert err.value.status == 400, name
-            assert fragment in str(err.value), name
-        # Nothing was journaled and the daemon still serves.
-        probe = client.submit("probe", {"payload": "alive"})
-        assert client.wait([probe["id"]], timeout=30)[
-            probe["id"]]["state"] == "done"
-
     def test_group_commit_is_all_or_nothing(self, stack):
         daemon, client, root = stack
         before = {job["id"] for job in client.jobs()}
@@ -152,17 +134,12 @@ class TestDaemonFlow:
                                    engine_jobs=2)
         daemon = Daemon(str(tmp_path / "store"), workers=2,
                         configure_sim_cache=False)
-        server = make_server(daemon, port=0)
         daemon.start()
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
+        server = GatewayServer(daemon).start()
         try:
-            client = ServeClient(
-                f"http://127.0.0.1:{server.server_address[1]}")
-            via = run_flow(client, flow, timeout=120)
+            via = run_flow(ServeClient(server.url), flow, timeout=120)
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             daemon.stop()
         assert serial == parallel == via
         assert serial["aug-0"]["sha256"] != serial["aug-1"]["sha256"]
@@ -196,11 +173,14 @@ class TestGatewayFlow:
 
     def test_rejects_bad_flows_with_400_and_survives(self, gateway):
         client, _ = gateway
+        before = client.jobs()
         for name, (blob, fragment) in BAD_FLOWS.items():
             with pytest.raises(ServeError) as err:
                 client.submit_flow(blob)
             assert err.value.status == 400, name
             assert fragment in str(err.value), name
+        # Nothing was journaled and the service still serves.
+        assert client.jobs() == before
         probe = client.submit("probe", {"payload": "alive"})
         assert client.wait([probe["id"]], timeout=30)[
             probe["id"]]["state"] == "done"

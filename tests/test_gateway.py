@@ -1,10 +1,9 @@
 """The asyncio gateway: tenants, backpressure, SSE, and parity.
 
 The gateway adds admission semantics in front of the daemon but no
-execution semantics: results must stay byte-identical to direct runs,
-and the kill-and-resume contract must hold with the gateway as the
-front end (the crash round here reuses the fault-injection harness
-from ``test_serve_recovery``).
+execution semantics: results must stay byte-identical to direct runs.
+The kill-and-resume contract through the gateway is proven by
+``test_serve_recovery``.
 """
 
 import json
@@ -16,8 +15,7 @@ import pytest
 from repro.serve import (Daemon, GatewayConfig, GatewayServer,
                          ServeClient, ServeError, TenantPolicy,
                          execute_job)
-from test_serve_recovery import TB_PASS, _canonical, _crash_round, \
-    _DirectRuns
+from test_serve_recovery import TB_PASS, _canonical
 
 
 @pytest.fixture
@@ -251,11 +249,3 @@ def test_gateway_stats_endpoint(stack):
     assert blob["max_queue_depth"] == 4
     assert blob["tenants"]["vip"]["submitted"] >= 1
 
-
-def test_kill_and_resume_through_gateway(tmp_path):
-    """The recovery contract holds with the gateway as the front end:
-    SIGKILL at a journal point, restart, zero lost/duplicated jobs,
-    results byte-identical to direct runs."""
-    direct = _DirectRuns(tmp_path / "ref")
-    _crash_round(tmp_path, direct, crash_after=6, crash_mode="kill",
-                 gateway=True)

@@ -22,13 +22,13 @@ import re
 import signal
 import subprocess
 import sys
-import threading
 
 import pytest
 
 from repro.llm import unregister_profile
-from repro.serve import (Daemon, Job, Scheduler, ServeClient, SpecError,
-                         execute_job, make_server, validate_spec)
+from repro.serve import (Daemon, GatewayServer, Job, Scheduler,
+                         ServeClient, SpecError, execute_job,
+                         validate_spec)
 from repro.serve.jobs import CANCELLED, DONE, FAILED, QUEUED
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,16 +69,13 @@ def _corpus(root) -> str:
 
 def _start_daemon(store: str):
     daemon = Daemon(store, workers=2, configure_sim_cache=False)
-    server = make_server(daemon, port=0)
     daemon.start()
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
-    return daemon, server, client
+    server = GatewayServer(daemon).start()
+    return daemon, server, ServeClient(server.url)
 
 
 def _stop_daemon(daemon, server) -> None:
-    server.shutdown()
-    server.server_close()
+    server.stop()
     daemon.stop()
 
 

@@ -1,46 +1,37 @@
-"""Malformed-HTTP coverage for both serve front ends.
+"""Malformed-HTTP coverage for the serve front end (the gateway).
 
 Every case must come back as a 4xx JSON error — and the server must
 keep answering well-formed requests afterwards: a hostile or buggy
-client can cost itself a connection, never a handler or the loop.
-Parametrized over the legacy threaded server and the asyncio gateway.
+client can cost itself a connection, never the loop.
 """
 
 import json
 import socket
-import threading
 
 import pytest
 
 from repro.serve import (Daemon, GatewayConfig, GatewayServer,
-                         ServeClient, ServeError, TenantPolicy,
-                         make_server)
+                         ServeClient, ServeError, TenantPolicy)
+
+#: The fixture's body ceiling: small enough to exceed cheaply, above
+#: every body the other cases send.
+MAX_BODY = 8192
 
 
-@pytest.fixture(params=["daemon", "gateway"])
-def server(request, tmp_path):
-    """(kind, host, port, client) for each front end."""
+# The single param only names the cases: ids stay ``test_*[gateway]``.
+@pytest.fixture(params=["gateway"])
+def server(tmp_path):
+    """(host, port) of a gateway with a strict tenant list."""
     daemon = Daemon(str(tmp_path / "store"), workers=1,
                     configure_sim_cache=False)
     daemon.start()
-    if request.param == "daemon":
-        httpd = make_server(daemon, port=0)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        yield request.param, host, port
-        httpd.shutdown()
-        httpd.server_close()
-        daemon.stop()
-    else:
-        config = GatewayConfig(
-            allow_unknown_tenants=False,
-            tenants={"known": TenantPolicy(name="known")})
-        gserver = GatewayServer(daemon, config=config).start()
-        yield request.param, gserver.host, gserver.port
-        gserver.stop()
-        daemon.stop()
+    config = GatewayConfig(
+        allow_unknown_tenants=False, max_body_bytes=MAX_BODY,
+        tenants={"known": TenantPolicy(name="known")})
+    gserver = GatewayServer(daemon, config=config).start()
+    yield gserver.host, gserver.port
+    gserver.stop()
+    daemon.stop()
 
 
 def _raw(host, port, payload: bytes, shutdown_wr: bool = False) -> bytes:
@@ -91,14 +82,14 @@ def _alive(host, port) -> None:
 
 
 def test_invalid_json_body(server):
-    _, host, port = server
+    host, port = server
     reply = _raw(host, port, _post("/api/submit", b"{not json"))
     assert _status(reply) == 400
     _alive(host, port)
 
 
 def test_non_dict_body(server):
-    _, host, port = server
+    host, port = server
     reply = _raw(host, port, _post("/api/submit", b"[1, 2, 3]"))
     assert _status(reply) == 400
     _alive(host, port)
@@ -107,7 +98,7 @@ def test_non_dict_body(server):
 def test_wrong_content_length(server):
     """Content-Length larger than the sent body: the truncated read
     must surface as a 400, not hang or kill the handler."""
-    _, host, port = server
+    host, port = server
     reply = _raw(host, port,
                  _post("/api/submit", b'{"kind": "probe"',
                        content_length=4096),
@@ -117,7 +108,7 @@ def test_wrong_content_length(server):
 
 
 def test_non_integer_priority(server):
-    _, host, port = server
+    host, port = server
     body = json.dumps({"kind": "probe", "spec": {"payload": "x"},
                        "priority": [1]}).encode()
     headers = {"X-Repro-Tenant": "known"}
@@ -128,19 +119,26 @@ def test_non_integer_priority(server):
 
 
 def test_malformed_request_line(server):
-    _, host, port = server
+    host, port = server
     reply = _raw(host, port, b"GARBAGE\r\n\r\n", shutdown_wr=True)
-    # Both front ends answer 400 — though the threaded server treats a
-    # version-less request line as HTTP/0.9 and omits the status line.
-    assert not reply or b"400" in reply.split(b"\r\n\r\n")[0] \
-        or b"Bad request" in reply
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    _alive(host, port)
+
+
+def test_oversized_body_is_413(server):
+    """A Content-Length past ``max_body_bytes`` is refused from the
+    headers alone: 413, connection closed, body never read."""
+    host, port = server
+    reply = _raw(host, port,
+                 _post("/api/submit", b"", content_length=MAX_BODY + 1))
+    assert reply.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+    assert b"Connection: close" in reply.split(b"\r\n\r\n")[0]
+    assert b"request body too large" in reply
     _alive(host, port)
 
 
 def test_unknown_tenant_rejected(server):
-    kind, host, port = server
-    if kind != "gateway":
-        pytest.skip("tenant enforcement is a gateway feature")
+    host, port = server
     client = ServeClient(f"http://{host}:{port}", tenant="stranger")
     with pytest.raises(ServeError) as err:
         client.submit("probe", {"payload": "x"})
@@ -151,7 +149,7 @@ def test_unknown_tenant_rejected(server):
 def test_client_disconnect_mid_response(server):
     """Hang up without reading: the server drops the connection
     silently and keeps serving."""
-    _, host, port = server
+    host, port = server
     for _ in range(3):
         sock = socket.create_connection((host, port), timeout=10)
         sock.sendall(b"GET /api/jobs HTTP/1.1\r\nHost: x\r\n\r\n")

@@ -23,8 +23,8 @@ import time
 import pytest
 
 from repro.serve import (CRASH_AFTER_ENV, CRASH_MODE_ENV, Daemon,
-                         JobStore, ServeClient, ServeError, StoreError,
-                         execute_job, make_server, validate_spec)
+                         GatewayServer, JobStore, ServeClient, ServeError,
+                         StoreError, execute_job, validate_spec)
 from repro.serve.jobs import DONE, QUEUED, RUNNING, SpecError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -111,12 +111,11 @@ class _DirectRuns:
 # --------------------------------------------------------------------------
 
 def _spawn(store: str, crash_after: int | None = None,
-           crash_mode: str | None = None, gateway: bool = False):
+           crash_mode: str | None = None):
     """Start ``repro serve`` on an ephemeral port; returns (proc, url).
 
     ``url`` is None if the daemon died before binding (possible when a
-    crash point lands inside recovery itself).  ``gateway=True`` runs
-    the asyncio front end (same API surface, same store semantics).
+    crash point lands inside recovery itself).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -125,12 +124,9 @@ def _spawn(store: str, crash_after: int | None = None,
     if crash_after:
         env[CRASH_AFTER_ENV] = str(crash_after)
         env[CRASH_MODE_ENV] = crash_mode or "kill"
-    command = [sys.executable, "-m", "repro", "serve", "--store", store,
-               "--port", "0", "--workers", "2"]
-    if gateway:
-        command.append("--gateway")
     proc = subprocess.Popen(
-        command,
+        [sys.executable, "-m", "repro", "serve", "--store", store,
+         "--port", "0", "--workers", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env, cwd=REPO)
     url = None
@@ -181,12 +177,12 @@ def _wait_all_done(client: ServeClient, timeout: float = 180.0) -> list:
 
 
 def _crash_round(tmp_path, direct: _DirectRuns, crash_after: int,
-                 crash_mode: str, gateway: bool = False) -> None:
+                 crash_mode: str) -> None:
     """One kill-and-resume cycle; asserts the full contract."""
     store = os.path.join(str(tmp_path), f"store-{crash_mode}-{crash_after}")
     corpus = _corpus(tmp_path)
     proc, url = _spawn(store, crash_after=crash_after,
-                       crash_mode=crash_mode, gateway=gateway)
+                       crash_mode=crash_mode)
     acked = []
     try:
         if url is not None:
@@ -208,7 +204,7 @@ def _crash_round(tmp_path, direct: _DirectRuns, crash_after: int,
     finally:
         _stop(proc)
 
-    proc, url = _spawn(store, gateway=gateway)
+    proc, url = _spawn(store)
     try:
         assert url is not None, "restarted daemon failed to serve"
         client = ServeClient(url, timeout=10.0)
@@ -243,13 +239,9 @@ class TestDaemonParity:
         store = str(tmp_path / "store")
         corpus = _corpus(tmp_path)
         daemon = Daemon(store, workers=2, configure_sim_cache=False)
-        server = make_server(daemon, port=0)
         daemon.start()
-        import threading
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
-        client = ServeClient(f"http://127.0.0.1:"
-                             f"{server.server_address[1]}")
+        server = GatewayServer(daemon).start()
+        client = ServeClient(server.url)
         try:
             specs = _job_specs(corpus) + [
                 ("evaluate", {"suite": "scripts",
@@ -270,20 +262,15 @@ class TestDaemonParity:
             assert any(name.startswith("aug-")
                        for name in health["caches"])
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             daemon.stop()
 
     def test_http_error_paths(self, tmp_path):
         daemon = Daemon(str(tmp_path / "store"), workers=1,
                         configure_sim_cache=False)
-        server = make_server(daemon, port=0)
         daemon.start()
-        import threading
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
-        client = ServeClient(f"http://127.0.0.1:"
-                             f"{server.server_address[1]}")
+        server = GatewayServer(daemon).start()
+        client = ServeClient(server.url)
         try:
             with pytest.raises(ServeError) as err:
                 client.status("job-999999")
@@ -300,23 +287,33 @@ class TestDaemonParity:
                 client.cancel(job["id"])     # terminal: not cancellable
             assert err.value.status == 409
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             daemon.stop()
 
-    def test_cli_default_port_matches_daemon(self):
+    def test_cli_default_port_matches_daemon(self, capsys):
         from repro.cli import build_parser
         from repro.serve import DEFAULT_PORT
         args = build_parser().parse_args(["serve", "--store", "x"])
         assert args.port == DEFAULT_PORT
         args = build_parser().parse_args(["status"])
         assert args.url.endswith(f":{DEFAULT_PORT}")
+        # `--gateway` is a hidden no-op: command lines that pass it
+        # (perfbench's serve-mix among them) must still parse, but
+        # help no longer advertises it.
+        args = build_parser().parse_args(
+            ["serve", "--store", "x", "--gateway"])
+        assert args.port == DEFAULT_PORT
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--store" in help_text
+        assert "--gateway" not in help_text
 
 
 class TestKillAndResume:
     """SIGKILL at fixed journal points (tier-1 sample)."""
 
-    @pytest.mark.parametrize("crash_after", [3, 7])
+    @pytest.mark.parametrize("crash_after", [3, 6, 7])
     def test_sigkill_after_append(self, tmp_path, crash_after):
         _crash_round(tmp_path, _DirectRuns(tmp_path / "ref"),
                      crash_after, "kill")
