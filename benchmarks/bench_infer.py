@@ -2,9 +2,15 @@
 
 Measures tokens/sec through the naive full-window ``generate()`` loop
 vs the batched KV-cache decoder (:func:`repro.infer.sample_tokens`) at
-batch=1 and batched, plus the :class:`repro.infer.ModelHost` cold-load
-vs warm-hit latency, then writes ``BENCH_infer.json`` at the repo root
-so the serving-layer trajectory is tracked from PR to PR.
+batch=1 and batched, in two regimes: prompts + completions inside the
+window (the KV-cache path) and prompts longer than ``max_len`` (the
+slide path, where every step recomputes its window with a
+last-position-only forward, as the paper loop's long thakur prompts
+do).  The slide regime also times that last-position forward against
+the full-width forward on the same windows.  Plus the
+:class:`repro.infer.ModelHost` cold-load vs warm-hit latency; writes
+``BENCH_infer.json`` at the repo root so the serving-layer trajectory
+is tracked from PR to PR.
 
 Every timed decode asserts token-identity between the two paths first —
 a speedup over a wrong decoder would be worthless.
@@ -16,9 +22,9 @@ import time
 
 import numpy as np
 
-from repro.infer import ModelHost, sample_tokens
+from repro.infer import ModelHost, forward_logits, sample_tokens
 from repro.llm.tiny_transformer import (TinyTransformerLM,
-                                        TransformerConfig)
+                                        TransformerConfig, forward)
 from repro.llm.tokenizer import Tokenizer
 from repro.train import model_weights_bundle
 
@@ -34,6 +40,10 @@ PROMPT_LEN = 24
 NEW_TOKENS = 96
 BATCH = 8
 
+#: Slide regime: every prompt already overflows ``max_len``.
+SLIDE_PROMPT_LEN = MAX_LEN + 32
+SLIDE_NEW_TOKENS = 32
+
 
 def _model(seed: int = 0) -> TinyTransformerLM:
     return TinyTransformerLM(TransformerConfig(
@@ -41,9 +51,9 @@ def _model(seed: int = 0) -> TinyTransformerLM:
         d_ff=4 * D_MODEL, max_len=MAX_LEN, seed=seed))
 
 
-def _prompts(count: int) -> list[list[int]]:
+def _prompts(count: int, length: int = PROMPT_LEN) -> list[list[int]]:
     rng = np.random.default_rng(7)
-    return [[3] + list(rng.integers(4, VOCAB, size=PROMPT_LEN - 1))
+    return [[3] + list(rng.integers(4, VOCAB, size=length - 1))
             for _ in range(count)]
 
 
@@ -79,6 +89,44 @@ def bench_decode_throughput(model) -> dict:
     }
 
 
+def bench_slide_regime(model) -> dict:
+    prompts = _prompts(BATCH, SLIDE_PROMPT_LEN)
+    seeds = list(range(BATCH))
+
+    start = time.perf_counter()
+    naive = [model.generate(p, SLIDE_NEW_TOKENS, 0.8, seed)
+             for p, seed in zip(prompts, seeds)]
+    naive_wall = time.perf_counter() - start
+
+    start = time.perf_counter()
+    batched = sample_tokens(model, prompts, max_tokens=SLIDE_NEW_TOKENS,
+                            temperature=0.8, seeds=seeds)
+    batched_wall = time.perf_counter() - start
+
+    assert batched == naive                          # token-identical
+    # The forward each slide step runs, last position only vs the
+    # full-width logits it replaced, over the same decoded windows.
+    windows = [np.array([row[i - MAX_LEN:i] for row in naive])
+               for i in range(SLIDE_PROMPT_LEN,
+                              SLIDE_PROMPT_LEN + SLIDE_NEW_TOKENS)]
+    start = time.perf_counter()
+    for ids in windows:
+        forward_logits(model, ids)[:, -1]
+    full_wall = time.perf_counter() - start
+    start = time.perf_counter()
+    for ids in windows:
+        forward(model, ids, last_only=True)
+    last_wall = time.perf_counter() - start
+    tokens = BATCH * SLIDE_NEW_TOKENS
+    return {
+        "slide_prompt_len": SLIDE_PROMPT_LEN,
+        "slide_decode_tokens": tokens,
+        "tok_per_sec_slide_naive": round(tokens / naive_wall, 1),
+        "tok_per_sec_slide_batched": round(tokens / batched_wall, 1),
+        "slide_last_only_speedup": round(full_wall / last_wall, 2),
+    }
+
+
 def bench_host_latency(model) -> dict:
     bundle = model_weights_bundle(
         model, Tokenizer.train(["module wire endmodule"], vocab_size=64))
@@ -100,6 +148,7 @@ def run_infer_bench() -> dict:
     result = {"d_model": D_MODEL, "max_len": MAX_LEN, "batch": BATCH,
               "new_tokens": NEW_TOKENS}
     result.update(bench_decode_throughput(model))
+    result.update(bench_slide_regime(model))
     result.update(bench_host_latency(model))
     return result
 

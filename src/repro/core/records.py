@@ -96,16 +96,25 @@ class Record:
         return len(self.to_json().encode())
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Durably replace ``path`` with ``text`` (temp file + ``os.replace``)."""
+def atomic_write_bytes(path: str, chunks) -> None:
+    """Replace ``path`` with the concatenated ``chunks`` (bytes-like).
+
+    Atomic against process death: the data goes to a temp file that
+    ``os.replace`` renames over ``path``, so a reader sees the old file
+    or the new one, never a partial write.  Not durable against power
+    loss (no fsync): the renamed file can come back torn, so readers
+    that must notice keep a digest of it (the train checkpoint manifest
+    does, and ``CheckpointStore.latest`` walks back past a mismatch).
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory,
                                     prefix=os.path.basename(path) + ".",
                                     suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -113,6 +122,12 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Atomically replace ``path`` with ``text`` (UTF-8); same
+    guarantee as :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def make_record(task: Task, input_text: str, output_text: str,

@@ -26,8 +26,13 @@ Three regimes per sequence:
 * **incremental** — while ``len(out) <= max_len`` positions are stable,
   so one new token per step is projected and appended to the cache;
 * **slide** — once the window ``out[-max_len:]`` starts sliding, every
-  position embedding shifts and the cache is invalid; such rows fall
-  back to a full batched window recompute, exactly like the naive path.
+  position embedding shifts and the cache is invalid; such rows
+  recompute their window each step with a last-position-only
+  :func:`repro.llm.tiny_transformer.forward` (keys/values for the whole
+  window, everything else for the last position).  ``generate()`` calls
+  the very same function, which keeps the two token-identical (the
+  last-position logits can differ from the full-width forward's last
+  row in the last ulp).
 """
 
 from __future__ import annotations
@@ -36,54 +41,25 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..llm.tiny_transformer import TinyTransformerLM
+from ..llm.tiny_transformer import TinyTransformerLM, forward
 
 __all__ = ["forward_logits", "sample_tokens"]
 
 
-# -- side-effect-free forward, KV-cache prefill and incremental step ----
-
-
-def _prefill(model: TinyTransformerLM, ids: np.ndarray
-             ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Side-effect-free full forward over ``ids`` (a right-padded
-    prompt batch or a sliding window), returning the logits plus each
-    layer's split keys/values ``(B, H, T, d_head)``."""
-    x = model.tok_emb.value[ids] + model.pos_emb.value[:ids.shape[1]]
-    seq = ids.shape[1]
-    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    layer_kv = []
-    for block in model.blocks:
-        attn = block.attn
-        h = block.ln1.apply(x)
-        q = attn._split(attn.q_proj.apply(h))
-        k = attn._split(attn.k_proj.apply(h))
-        v = attn._split(attn.v_proj.apply(h))
-        layer_kv.append((k, v))
-        scale = 1.0 / np.sqrt(attn.d_head)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale
-        scores = np.where(mask, -1e9, scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        x = x + attn.out_proj.apply(attn._merge(probs @ v))
-        hidden = block.mlp.fc1.apply(block.ln2.apply(x))
-        x = x + block.mlp.fc2.apply(np.maximum(hidden, 0.0))
-    x = model.ln_final.apply(x)
-    return model.head.apply(x), layer_kv
+# -- side-effect-free forward and incremental step ------------------------
 
 
 def forward_logits(model: TinyTransformerLM, ids: np.ndarray) -> np.ndarray:
     """(B, T) ids → (B, T, V) logits, without mutating module state.
 
-    Same arithmetic as ``TinyTransformerLM.forward`` (LoRA adapters
-    included when attached) but safe to call concurrently: nothing is
-    written to the model's backprop caches.  This is :func:`_prefill`
-    with the keys/values dropped.
+    The full-width :func:`repro.llm.tiny_transformer.forward`: same
+    arithmetic as ``TinyTransformerLM.forward`` (LoRA adapters included
+    when attached) but safe to call concurrently, since nothing is
+    written to the model's backprop caches.
     """
     if ids.shape[1] > model.config.max_len:
         raise ValueError("sequence longer than max_len")
-    return _prefill(model, ids)[0]
+    return forward(model, ids)
 
 
 def _step(model: TinyTransformerLM, tokens: np.ndarray,
@@ -204,7 +180,7 @@ def sample_tokens(model: TinyTransformerLM,
         ids = np.zeros((len(cached_rows), width), dtype=np.int64)
         for i, b in enumerate(cached_rows):
             ids[i, :lengths[i]] = outs[b]
-        logits, layer_kv = _prefill(model, ids)
+        logits, layer_kv = forward(model, ids, return_kv=True)
         for layer, (k, v) in enumerate(layer_kv):
             caches[layer][0][cached_rows, :, :width, :] = k
             caches[layer][1][cached_rows, :, :width, :] = v
@@ -212,7 +188,7 @@ def sample_tokens(model: TinyTransformerLM,
             emit(b, logits[i, lengths[i] - 1])
     if slide_rows:
         ids = np.array([outs[b][-max_len:] for b in slide_rows])
-        logits = forward_logits(model, ids)[:, -1]
+        logits = forward(model, ids, last_only=True)
         for i, b in enumerate(slide_rows):
             emit(b, logits[i])
 
@@ -235,7 +211,7 @@ def sample_tokens(model: TinyTransformerLM,
         live_slide = [b for b in slide_rows if b not in finished]
         if live_slide:
             ids = np.array([outs[b][-max_len:] for b in live_slide])
-            logits = forward_logits(model, ids)[:, -1]
+            logits = forward(model, ids, last_only=True)
             for i, b in enumerate(live_slide):
                 emit(b, logits[i])
     return outs

@@ -346,11 +346,14 @@ class TinyTransformerLM:
 
     def generate(self, prefix: list[int], max_tokens: int = 16,
                  temperature: float = 0.0, seed: int = 0) -> list[int]:
+        """Naive decoding: one last-position :func:`forward` over the
+        whole window per emitted token (the reference the batched
+        decoder in :mod:`repro.infer.decode` is token-identical to)."""
         rng = np.random.default_rng(seed)
         out = list(prefix)
         for _ in range(max_tokens):
             window = out[-self.config.max_len:]
-            logits = self.forward(np.array([window]))[0, -1]
+            logits = forward(self, np.array([window]), last_only=True)[0]
             if temperature <= 0:
                 out.append(int(logits.argmax()))
             else:
@@ -360,6 +363,51 @@ class TinyTransformerLM:
                 probs /= probs.sum()
                 out.append(int(rng.choice(len(probs), p=probs)))
         return out
+
+
+def forward(model: TinyTransformerLM, ids: np.ndarray, *,
+            last_only: bool = False, return_kv: bool = False):
+    """Side-effect-free inference forward over ``ids`` (B, T).
+
+    Same arithmetic as :meth:`TinyTransformerLM.forward` (LoRA adapters
+    included when attached) through the ``apply`` helpers, so nothing is
+    written to the model's backprop caches and concurrent calls are
+    safe.  Returns (B, T, V) logits, or (B, V) for the last position
+    with ``last_only``: the last block still projects keys/values for
+    the whole window, but its queries, attention, MLP, final LN and head
+    run for the last position only.  With ``return_kv`` the result is
+    ``(logits, layer_kv)``, each layer's split keys/values
+    ``(B, H, T, d_head)`` — what the KV-cache prefill stores.
+    """
+    x = model.tok_emb.value[ids] + model.pos_emb.value[:ids.shape[1]]
+    seq = ids.shape[1]
+    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
+    layer_kv = []
+    last = len(model.blocks) - 1
+    for index, block in enumerate(model.blocks):
+        attn = block.attn
+        h = block.ln1.apply(x)
+        k = attn._split(attn.k_proj.apply(h))
+        v = attn._split(attn.v_proj.apply(h))
+        layer_kv.append((k, v))
+        if last_only and index == last:
+            # Keys/values above cover the whole window; the query and
+            # everything after it narrow to the last position.
+            x, h, mask = x[:, -1:], h[:, -1:], mask[-1:]
+        q = attn._split(attn.q_proj.apply(h))
+        scale = 1.0 / np.sqrt(attn.d_head)
+        scores = q @ k.transpose(0, 1, 3, 2) * scale
+        scores = np.where(mask, -1e9, scores)
+        scores -= scores.max(axis=-1, keepdims=True)
+        probs = np.exp(scores)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        x = x + attn.out_proj.apply(attn._merge(probs @ v))
+        hidden = block.mlp.fc1.apply(block.ln2.apply(x))
+        x = x + block.mlp.fc2.apply(np.maximum(hidden, 0.0))
+    logits = model.head.apply(model.ln_final.apply(x))
+    if last_only:
+        logits = logits[:, -1]
+    return (logits, layer_kv) if return_kv else logits
 
 
 class Adam:

@@ -549,8 +549,9 @@ class JobStore:
         """Clean shutdown: snapshot, compact the journal, release it.
 
         Compaction order is crash-safe: the snapshot that covers every
-        journal event is durably in place *before* the journal is
-        emptied, so dying between the two steps loses nothing.
+        journal event is atomically in place *before* the journal is
+        emptied, so a process dying between the two steps loses
+        nothing.
         """
         self.write_snapshot()
         self._journal.close()

@@ -10,8 +10,9 @@ augment → train → evaluate loop.
   a warm cache) plus the epoch/batch schedule, a pure function of
   (dataset digest, config)
 * :mod:`checkpoint` — :class:`CheckpointStore`: atomic, digest-verified
-  ``checkpoint-<step>.json`` blobs behind a journal-first manifest
-  (blob durably on disk *before* the manifest points at it)
+  ``checkpoint-<step>.bin`` raw-binary blobs behind a journal-first
+  manifest (blob renamed into place *before* the manifest points at
+  it; a blob torn by power loss fails its sha256 and resume walks back)
 * :mod:`worker`     — fused flat-buffer gradient kernel plus the
   resident-worker protocol (weights live in the worker across steps;
   only schedule slices and gradients cross the pool boundary)
@@ -35,14 +36,15 @@ from .artifact import (TRAIN_ARTIFACT_VERSION, build_artifact,
                        derive_profile)
 from .checkpoint import (CRASH_AFTER_ENV, CRASH_MODE_ENV,
                          TRAIN_FORMAT_VERSION, CheckpointStore,
-                         decode_array, encode_array, state_digest)
+                         state_digest)
 from .data import (corpus_dataset, dataset_digest, encode_sequences,
                    epoch_plan, stable_seed)
 from .service import TrainConfig, TrainReport, TrainerService, train_run
 from .tune import (TuneCandidate, TuneOutcome, TuneReport, default_grid,
                    load_tuned, save_tuned, tune_corpus)
 from .weights import (bundle_from_checkpoint, bundle_from_payload,
-                      model_from_bundle, model_weights_bundle)
+                      decode_array, encode_array, model_from_bundle,
+                      model_weights_bundle)
 from .worker import (FlatGrads, flat_microbatch_grads, microbatch_grads,
                      model_state, resident_close, resident_init,
                      resident_step, run_train_chunk, set_model_state)

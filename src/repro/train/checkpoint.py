@@ -3,17 +3,28 @@
 Layout under the checkpoint root::
 
     manifest.json               index: format, fingerprint, checkpoints
-    checkpoint-<step>.json      full training state after <step> steps
+    checkpoint-<step>.bin       full training state after <step> steps
+
+A ``.bin`` blob is one line of JSON header followed by raw array bytes.
+The header holds the payload's scalars and lists (step counters, loss
+curves, model config, tokenizer) under ``"state"`` and, under
+``"arrays"``, the dtype, shape and byte offset of every array in the
+payload's array lists (params and both Adam moments), in order.  The
+array region is the arrays' native bytes back to back, so a write is a
+handful of buffer copies and a read is bit-exact.
 
 **Write discipline** (journal-first, mirroring ``repro.serve.store``):
-a checkpoint blob is atomically written — and durably renamed into
-place — *before* the manifest is rewritten to point at it, and the
-manifest records the blob's sha256.  A crash between the two writes
-leaves the manifest pointing at the previous checkpoint, which is
-always safe: replaying the extra steps from there is deterministic and
-converges on identical weights.  A fingerprint mismatch (different
-train config, different dataset, format bump) discards old checkpoints
-instead of resuming across incompatible state.
+a checkpoint blob is atomically renamed into place *before* the
+manifest is rewritten to point at it, and the manifest records the
+sha256 of the whole blob.  A crash between the two writes leaves the
+manifest pointing at the previous checkpoint, which is always safe:
+replaying the extra steps from there is deterministic and converges on
+identical weights.  Renames are atomic against process death but not
+fsynced, so after a power loss a blob can come back torn; it then fails
+its sha256 and :meth:`CheckpointStore.latest` walks back to an older
+one.  A fingerprint mismatch (different train config, different
+dataset, format bump) discards old checkpoints instead of resuming
+across incompatible state.
 
 **Fault injection.** ``REPRO_TRAIN_CRASH_AFTER`` SIGKILLs the process
 around the Nth checkpoint write; ``REPRO_TRAIN_CRASH_MODE`` picks the
@@ -24,23 +35,22 @@ journal-first ordering).  See ``tests/test_train_service.py``.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
+import math
 import os
-import queue
 import signal
-import threading
 
 import numpy as np
 
-from ..core.records import atomic_write_text
+from ..core.records import atomic_write_bytes, atomic_write_text
 
 #: Bump when the checkpoint blob format changes; old stores are
 #: discarded (training restarts from scratch — still deterministic).
 #: v2: payloads carry ``model_config`` + ``tokenizer`` so inference
 #: can load weights straight from a checkpoint directory.
-TRAIN_FORMAT_VERSION = 2
+#: v3: one raw-binary ``.bin`` blob per checkpoint (was base64 JSON).
+TRAIN_FORMAT_VERSION = 3
 
 #: Environment hooks for the SIGKILL-at-checkpoint tests.
 CRASH_AFTER_ENV = "REPRO_TRAIN_CRASH_AFTER"
@@ -48,21 +58,6 @@ CRASH_MODE_ENV = "REPRO_TRAIN_CRASH_MODE"
 
 #: Checkpoints kept in the manifest (latest N; older files unlinked).
 KEEP_CHECKPOINTS = 2
-
-
-def encode_array(array: np.ndarray) -> dict:
-    """Lossless JSON form of one ndarray (raw bytes, base64)."""
-    contiguous = np.ascontiguousarray(array)
-    return {"dtype": str(contiguous.dtype),
-            "shape": list(contiguous.shape),
-            "data": base64.b64encode(contiguous.tobytes()).decode("ascii")}
-
-
-def decode_array(blob: dict) -> np.ndarray:
-    """Inverse of :func:`encode_array` (bit-exact round trip)."""
-    raw = base64.b64decode(blob["data"])
-    return np.frombuffer(raw, dtype=np.dtype(blob["dtype"])) \
-        .reshape(blob["shape"]).copy()
 
 
 def state_digest(arrays: list[np.ndarray]) -> str:
@@ -120,7 +115,9 @@ class CheckpointStore:
         except OSError:
             return
         for name in names:
-            if name.startswith("checkpoint-") and name.endswith(".json"):
+            # .json: v2 blobs, so a format bump also drops them.
+            if (name.startswith("checkpoint-")
+                    and name.endswith((".bin", ".json"))):
                 try:
                     os.unlink(os.path.join(self.root, name))
                 except OSError:
@@ -140,18 +137,25 @@ class CheckpointStore:
         os.kill(os.getpid(), signal.SIGKILL)
 
     def save(self, step: int, payload: dict) -> None:
-        """Commit one checkpoint: blob first, then the manifest entry."""
-        text = json.dumps(payload, ensure_ascii=False, sort_keys=True) \
-            + "\n"
-        path = os.path.join(self.root, f"checkpoint-{step:08d}.json")
-        atomic_write_text(path, text)
+        """Commit one checkpoint: blob first, then the manifest entry.
+
+        Every non-empty list of ndarrays in ``payload`` goes to the raw
+        array region; everything else must be JSON-safe.  The arrays are
+        written before this returns, so callers may hand over live
+        state.
+        """
+        chunks = _pack(payload)
+        hasher = hashlib.sha256()
+        for chunk in chunks:
+            hasher.update(chunk)
+        path = os.path.join(self.root, f"checkpoint-{step:08d}.bin")
+        atomic_write_bytes(path, chunks)
         self.writes += 1
         fire = self._crash_after and self.writes >= self._crash_after
         if fire and self._crash_mode == "early":
-            self._crash()       # blob durable, manifest not yet updated
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            self._crash()       # blob in place, manifest not yet updated
         entry = {"step": step, "file": os.path.basename(path),
-                 "sha256": digest}
+                 "sha256": hasher.hexdigest()}
         self._checkpoints = [c for c in self._checkpoints
                              if c["step"] != step] + [entry]
         self._checkpoints.sort(key=lambda c: c["step"])
@@ -170,78 +174,62 @@ class CheckpointStore:
         """The newest digest-verified checkpoint payload, or None.
 
         Walks backwards past corrupt/missing blobs (e.g. a crash that
-        beat the unlink of a superseded file) — resuming from an older
-        checkpoint is always correct, just slower.
+        beat the unlink of a superseded file, or a blob torn by power
+        loss) — resuming from an older checkpoint is always correct,
+        just slower.
         """
         for entry in reversed(self._checkpoints):
             path = os.path.join(self.root, entry["file"])
             try:
-                with open(path, encoding="utf-8") as handle:
-                    text = handle.read()
+                with open(path, "rb") as handle:
+                    blob = handle.read()
             except OSError:
                 continue
-            if hashlib.sha256(
-                    text.encode("utf-8")).hexdigest() != entry["sha256"]:
+            if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
                 continue
             try:
-                return json.loads(text)
-            except ValueError:
+                return _unpack(blob)
+            except (ValueError, KeyError, TypeError):
                 continue
         return None
 
 
-class AsyncCheckpointWriter:
-    """Overlap checkpoint encode+write with training compute.
+def _pack(payload: dict) -> list:
+    """``payload`` as blob chunks: the header line, then each array."""
+    state: dict = {}
+    layout: dict = {}
+    arrays: list[np.ndarray] = []
+    offset = 0
+    for key, value in payload.items():
+        if (isinstance(value, list) and value
+                and all(isinstance(a, np.ndarray) for a in value)):
+            entries = layout[key] = []
+            for array in value:
+                array = np.ascontiguousarray(array)
+                entries.append({"dtype": array.dtype.str,
+                                "shape": list(array.shape),
+                                "offset": offset})
+                arrays.append(array)
+                offset += array.nbytes
+        else:
+            state[key] = value
+    header = json.dumps({"state": state, "arrays": layout},
+                        ensure_ascii=False, sort_keys=True)
+    return [header.encode("utf-8") + b"\n", *arrays]
 
-    The hot path hands over a *snapshot* — raw array copies, the only
-    part that must happen synchronously so the state can keep mutating
-    — and a single writer thread does the expensive part (base64/JSON
-    encoding plus :meth:`CheckpointStore.save`) while the next steps
-    run.  Commit order is queue order, so the journal-first discipline
-    of the store is untouched: blobs still land before their manifest
-    entries, in step order.
 
-    A failed write is re-raised on the *next* :meth:`submit` (or on
-    :meth:`close`): the trainer never runs more than ``maxsize`` steps
-    past an unreported checkpoint failure.  :meth:`close` drains the
-    queue — callers rely on that barrier before reading
-    ``store.writes`` or treating the final checkpoint as durable.
-    """
-
-    def __init__(self, store: CheckpointStore, maxsize: int = 2):
-        self.store = store
-        self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run,
-                                        name="ckpt-writer", daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            step, encode = job
-            try:
-                self.store.save(step, encode())
-            except BaseException as exc:       # noqa: BLE001 - re-raised
-                self._error = exc
-
-    def _check(self) -> None:
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def submit(self, step: int, encode) -> None:
-        """Queue one checkpoint: ``encode()`` runs on the writer thread
-        and must close over state that no longer mutates (a snapshot)."""
-        self._check()
-        self._queue.put((step, encode))
-
-    def close(self) -> None:
-        """Drain pending writes and stop the thread; raises the first
-        unreported write error.  Idempotent."""
-        if self._thread.is_alive():
-            self._queue.put(None)
-            self._thread.join()
-        self._check()
+def _unpack(blob: bytes) -> dict:
+    """Inverse of :func:`_pack` over the joined chunks (arrays are
+    fresh, writable copies)."""
+    split = blob.index(b"\n")
+    header = json.loads(blob[:split])
+    data = memoryview(blob)[split + 1:]
+    payload = dict(header["state"])
+    for key, entries in header["arrays"].items():
+        payload[key] = [
+            np.frombuffer(data, dtype=np.dtype(entry["dtype"]),
+                          count=math.prod(entry["shape"]),
+                          offset=entry["offset"])
+            .reshape(entry["shape"]).copy()
+            for entry in entries]
+    return payload

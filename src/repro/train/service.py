@@ -12,9 +12,9 @@ SIGKILL-and-resume cycles it survived.  Three mechanisms enforce this:
    whether the micro-batches ran inline, on threads, or on forked
    workers (:mod:`repro.train.worker`);
 3. checkpoints capture the *complete* optimisation state (weights,
-   Adam moments and step count, loss history, schedule position) in a
-   lossless encoding, so a resumed run replays the remaining steps
-   with bit-identical inputs (:mod:`repro.train.checkpoint`).
+   Adam moments and step count, loss history, schedule position) as
+   raw array bytes, so a resumed run replays the remaining steps with
+   bit-identical inputs (:mod:`repro.train.checkpoint`).
 
 **The parallel hot path** is :class:`_StepRunner`.  ``jobs=1`` runs the
 fused inline kernel (one preallocated gradient buffer, zero copies).
@@ -26,9 +26,9 @@ mailboxes on fork pools (:mod:`repro.train.shm`), so the steady state
 pickles only index/loss/count tuples.  Replicas stay bit-identical to
 the service model by replaying the identical Adam update from the
 identical reduced-gradient bytes; a state-digest handshake every
-``digest_every`` steps proves it at runtime.  Checkpoint encode+write
-runs on an overlapped writer thread (journal-first order preserved) so
-the step loop never waits on serialization.
+``digest_every`` steps proves it at runtime.  Checkpoints are written
+inline: a raw-binary blob costs a millisecond or two at the paper-loop
+model size, most of it the blob's sha256.
 
 Proven by ``tests/test_train_service.py`` (property + SIGKILL
 harness).
@@ -51,8 +51,7 @@ from ..llm.tokenizer import Tokenizer
 from ..llm.trainer import evaluate_transformer, records_to_text, \
     split_dataset
 from ..scale.runner import WorkPool
-from .checkpoint import (TRAIN_FORMAT_VERSION, AsyncCheckpointWriter,
-                         CheckpointStore, decode_array, encode_array,
+from .checkpoint import (TRAIN_FORMAT_VERSION, CheckpointStore,
                          state_digest)
 from .data import dataset_digest, encode_sequences, epoch_plan
 from .shm import open_channel_group
@@ -367,19 +366,18 @@ class TrainerService:
     # -- checkpoint plumbing ---------------------------------------------
 
     @staticmethod
-    def _snapshot(model: TinyTransformerLM, optimizer: Adam,
-                  steps_done: int, val_done: int, losses: list[float],
-                  val_losses: list[float], cfg_blob: dict,
-                  tokenizer: Tokenizer) -> dict:
-        """Raw-array state capture — the only synchronous part of a
-        checkpoint.  Cheap (array copies), so the step loop can keep
-        mutating the live state while the writer thread encodes."""
+    def _payload(model: TinyTransformerLM, optimizer: Adam,
+                 steps_done: int, val_done: int, losses: list[float],
+                 val_losses: list[float], cfg_blob: dict,
+                 tokenizer: Tokenizer) -> dict:
+        """The complete training state, over the live arrays (the store
+        writes them before returning, so no copies are needed)."""
         params = model.params()
         return {"steps_done": steps_done, "val_done": val_done,
-                "losses": list(losses), "val_losses": list(val_losses),
-                "params": [p.value.copy() for p in params],
-                "adam_m": [p.m.copy() for p in params],
-                "adam_v": [p.v.copy() for p in params],
+                "losses": losses, "val_losses": val_losses,
+                "params": [p.value for p in params],
+                "adam_m": [p.m for p in params],
+                "adam_v": [p.v for p in params],
                 "adam_step": optimizer.step_count,
                 # Inference handoff: enough to rebuild model + tokenizer
                 # straight from a checkpoint (repro.train.weights).
@@ -387,23 +385,13 @@ class TrainerService:
                 "tokenizer": list(tokenizer.inverse)}
 
     @staticmethod
-    def _encode(snapshot: dict) -> dict:
-        """Writer-thread half: lossless-encode a :meth:`_snapshot`."""
-        payload = dict(snapshot)
-        for key in ("params", "adam_m", "adam_v"):
-            payload[key] = [encode_array(a) for a in snapshot[key]]
-        return payload
-
-    @staticmethod
     def _restore(model: TinyTransformerLM, optimizer: Adam,
                  payload: dict) -> None:
-        set_model_state(model, [decode_array(blob)
-                                for blob in payload["params"]])
-        for param, m_blob, v_blob in zip(model.params(),
-                                         payload["adam_m"],
-                                         payload["adam_v"]):
-            param.m = decode_array(m_blob)
-            param.v = decode_array(v_blob)
+        set_model_state(model, payload["params"])
+        for param, m, v in zip(model.params(), payload["adam_m"],
+                               payload["adam_v"]):
+            param.m = m
+            param.v = v
         optimizer.step_count = payload["adam_step"]
 
     # -- the run ----------------------------------------------------------
@@ -438,7 +426,6 @@ class TrainerService:
         optimizer = Adam(model.params(), lr=config.lr)
 
         store = None
-        writer: AsyncCheckpointWriter | None = None
         done_steps = 0
         val_done = 0
         losses: list[float] = []
@@ -457,22 +444,18 @@ class TrainerService:
                 losses = list(payload["losses"])
                 val_losses = list(payload["val_losses"])
                 resumed_steps = done_steps
+        committed = done_steps      # newest step already on disk
 
         def save(step: int) -> None:
-            # Hot path: snapshot only.  Encode + journal-first commit
-            # happen on the writer thread, overlapped with compute.
-            nonlocal writer
-            if store is None:
+            # The final save repeats a step when the cadence divides it,
+            # a stop lands on a cadence step, or nothing ran: skip it.
+            nonlocal committed
+            if store is None or step == committed:
                 return
-            snapshot = self._snapshot(model, optimizer, step, val_done,
-                                      losses, val_losses, cfg_blob,
-                                      tokenizer)
-            if writer is None:
-                # Created lazily *after* worker lanes forked (the first
-                # step precedes the first save), so fork pools never
-                # inherit a live writer thread.
-                writer = AsyncCheckpointWriter(store)
-            writer.submit(step, lambda snap=snapshot: self._encode(snap))
+            store.save(step, self._payload(model, optimizer, step,
+                                           val_done, losses, val_losses,
+                                           cfg_blob, tokenizer))
+            committed = step
 
         global_step = 0
         executed = 0
@@ -514,8 +497,6 @@ class TrainerService:
             finally:
                 runner.shutdown()
         save(done_steps)            # final (or interruption) checkpoint
-        if writer is not None:
-            writer.close()          # durability barrier before report
         return TrainReport(
             steps=done_steps, epochs=val_done, records=len(capped),
             trained_tokens=sum(len(s) for s in sequences),

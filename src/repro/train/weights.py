@@ -17,17 +17,35 @@ pulled straight out of a :class:`CheckpointStore` directory via
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+
+import numpy as np
 
 from ..llm.lora import attach_lora
 from ..llm.tiny_transformer import TinyTransformerLM, TransformerConfig
 from ..llm.tokenizer import Tokenizer
-from .checkpoint import (CheckpointStore, decode_array, encode_array,
-                         state_digest)
+from .checkpoint import CheckpointStore, state_digest
 
 __all__ = ["model_weights_bundle", "model_from_bundle",
-           "bundle_from_checkpoint", "bundle_from_payload"]
+           "bundle_from_checkpoint", "bundle_from_payload",
+           "encode_array", "decode_array"]
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """Lossless JSON form of one ndarray (raw bytes, base64)."""
+    contiguous = np.ascontiguousarray(array)
+    return {"dtype": str(contiguous.dtype),
+            "shape": list(contiguous.shape),
+            "data": base64.b64encode(contiguous.tobytes()).decode("ascii")}
+
+
+def decode_array(blob: dict) -> np.ndarray:
+    """Inverse of :func:`encode_array` (bit-exact round trip)."""
+    raw = base64.b64decode(blob["data"])
+    return np.frombuffer(raw, dtype=np.dtype(blob["dtype"])) \
+        .reshape(blob["shape"]).copy()
 
 
 def model_weights_bundle(model: TinyTransformerLM, tokenizer: Tokenizer,
@@ -104,16 +122,18 @@ def model_from_bundle(bundle: dict, merge: bool = True
 
 
 def bundle_from_payload(payload: dict) -> dict:
-    """Bundle form of one checkpoint payload (see ``service._payload``)."""
+    """Bundle form of one checkpoint payload (see ``service._payload``),
+    whose arrays are ndarrays as :meth:`CheckpointStore.latest` returns
+    them."""
     for field in ("model_config", "tokenizer", "params"):
         if field not in payload:
             raise ValueError(
                 f"checkpoint payload missing {field!r} — written by a "
                 "pre-inference repro.train? retrain to serve it")
-    arrays = [decode_array(blob) for blob in payload["params"]]
+    arrays = payload["params"]
     return {"model": dict(payload["model_config"]),
             "tokenizer": list(payload["tokenizer"]),
-            "params": payload["params"],
+            "params": [encode_array(a) for a in arrays],
             "weights_sha256": state_digest(arrays),
             **({"lora": payload["lora"]} if "lora" in payload else {})}
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.infer import forward_logits, sample_tokens
 from repro.llm import attach_lora, merge_lora
-from repro.llm.tiny_transformer import TinyTransformerLM, TransformerConfig
+from repro.llm.tiny_transformer import (TinyTransformerLM,
+                                        TransformerConfig, forward)
 
 _SETTINGS = dict(deadline=None, derandomize=True,
                  suppress_health_check=(HealthCheck.too_slow,))
@@ -114,6 +115,24 @@ class TestFixedEquivalence:
         ids = np.array([[1, 2, 3, 4, 5], [9, 8, 7, 6, 5]])
         np.testing.assert_array_equal(forward_logits(model, ids),
                                       model.forward(ids))
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_last_only_forward_matches_full_last_row(self, n_layers):
+        model = _model(vocab=48, d_model=32, n_heads=4, n_layers=n_layers,
+                       d_ff=64, max_len=24, seed=8)
+        attach_lora(model, rank=2, alpha=4.0, seed=3)
+        for linear in model.attention_linears():
+            linear.lora.B.value[:] = np.random.default_rng(5).normal(
+                0, 0.2, linear.lora.B.value.shape)
+        ids = np.random.default_rng(n_layers).integers(0, 48, (3, 24))
+        full = forward(model, ids)
+        last = forward(model, ids, last_only=True)
+        assert last.shape == (3, 48)
+        np.testing.assert_allclose(last, full[:, -1], rtol=1e-12,
+                                   atol=1e-12)
+        logits, layer_kv = forward(model, ids, return_kv=True)
+        np.testing.assert_array_equal(logits, full)
+        assert [k.shape for k, _ in layer_kv] == [(3, 4, 24, 8)] * n_layers
 
     def test_empty_prompt_rejected(self):
         model = _model()

@@ -24,8 +24,10 @@ from repro.llm.lora import attach_lora, merge_lora
 from repro.llm.tiny_transformer import (TinyTransformerLM,
                                         TransformerConfig)
 from repro.llm.tokenizer import Tokenizer
-from repro.train import model_from_bundle, model_weights_bundle
-from repro.train.checkpoint import CheckpointStore, encode_array
+from repro.core.records import Dataset, Task, make_record
+from repro.train import (TrainConfig, model_from_bundle,
+                         model_weights_bundle, train_run)
+from repro.train.checkpoint import CheckpointStore
 from repro.train.weights import bundle_from_checkpoint
 
 
@@ -99,8 +101,7 @@ class TestWeightsBundle:
         store = CheckpointStore(root, "fp-test")
         store.save(4, {
             "steps_done": 4, "val_done": 0, "losses": [], "val_losses":
-            [], "params": [encode_array(p.value)
-                           for p in model.params()],
+            [], "params": [p.value for p in model.params()],
             "adam_m": [], "adam_v": [], "adam_step": 4,
             "model_config": {"vocab_size": 32, "d_model": 16,
                              "n_heads": 2, "n_layers": 1, "d_ff": 32,
@@ -152,7 +153,7 @@ class TestModelHost:
         store.save(1, {
             "steps_done": 1, "val_done": 0, "losses": [],
             "val_losses": [],
-            "params": [encode_array(p.value) for p in model.params()],
+            "params": [p.value for p in model.params()],
             "adam_m": [], "adam_v": [], "adam_step": 1,
             "model_config": {"vocab_size": 32, "d_model": 16,
                              "n_heads": 2, "n_layers": 1, "d_ff": 32,
@@ -163,6 +164,27 @@ class TestModelHost:
         np.testing.assert_array_equal(
             _logits(model, [1, 2, 3]),
             _logits(loaded.model, [1, 2, 3]))
+
+    def test_trained_checkpoint_serves_the_run_weights(self, tmp_path):
+        """A real run's checkpoint store loads into serving as exactly
+        the weights the run reports in its own bundle."""
+        root = str(tmp_path / "ckpt")
+        records = [make_record(
+            Task.NL_VERILOG, f"a module named unit{index}",
+            f"module unit{index}(input a, output y);\n"
+            f"  assign y = {'~' if index % 2 else ''}a;\nendmodule")
+            for index in range(12)]
+        report = train_run(Dataset(records=records), TrainConfig(
+            epochs=1, batch_size=4, micro_batch=2, seq_len=24,
+            vocab_size=96, d_model=16, n_heads=2, n_layers=1, d_ff=32,
+            max_records=None, checkpoint_every=2), checkpoint_dir=root)
+        loaded = ModelHost().load_checkpoint(root)
+        want, _ = model_from_bundle(report.weights_bundle)
+        assert loaded.digest == report.weights_sha256
+        assert loaded.digest == report.weights_bundle["weights_sha256"]
+        ids = [1, 2, 3, 4, 5]
+        np.testing.assert_array_equal(_logits(loaded.model, ids),
+                                      _logits(want, ids))
 
 
 def _trained_profile(name: str):

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -189,6 +190,20 @@ class TestDeterminism:
                           checkpoint_dir=ckpt)
         assert again.resumed_steps == first.steps
         assert again.weights_sha256 == reference.weights_sha256
+        assert again.val_losses == reference.val_losses
+        assert again.checkpoints_written == 0   # nothing new to commit
+
+    def test_no_redundant_final_checkpoint(self, dataset, reference,
+                                           tmp_path):
+        """When the cadence divides the step count, the last cadence
+        write already holds the final step: no second write of it."""
+        every = 4
+        assert reference.steps % every == 0
+        run = train_run(dataset, _tiny_config(checkpoint_every=every),
+                        jobs=1, checkpoint_dir=str(tmp_path / "ck"))
+        assert run.steps == reference.steps
+        assert run.checkpoints_written == -(-run.steps // every)
+        assert run.weights_sha256 == reference.weights_sha256
 
     def test_config_change_discards_checkpoints(self, dataset, tmp_path):
         ckpt = str(tmp_path / "ck")
@@ -339,15 +354,81 @@ class TestSigkillResumeRandomized:
 # --------------------------------------------------------------------------
 
 class TestCheckpointStore:
+    @staticmethod
+    def _state(seed: int) -> dict:
+        rng = np.random.default_rng(seed)
+        shapes = [(7, 3), (3,), (2, 2, 5)]
+        return {"steps_done": seed, "losses": [0.1 * seed, 1 / 3],
+                "params": [rng.normal(size=s) for s in shapes],
+                "adam_m": [rng.normal(size=s) for s in shapes],
+                "adam_v": [rng.random(size=s) ** 9 for s in shapes]}
+
+    @staticmethod
+    def _blob(root, step: int) -> str:
+        return os.path.join(str(root), f"checkpoint-{step:08d}.bin")
+
+    def test_raw_round_trip_is_bit_exact(self, tmp_path):
+        state = self._state(1)
+        store = CheckpointStore(str(tmp_path), "fp")
+        store.save(1, state)
+        got = CheckpointStore(str(tmp_path), "fp").latest()
+        assert got["steps_done"] == 1
+        assert got["losses"] == state["losses"]     # floats, not approx
+        for key in ("params", "adam_m", "adam_v"):
+            assert len(got[key]) == len(state[key])
+            for want, have in zip(state[key], got[key]):
+                assert have.dtype == np.float64
+                assert have.shape == want.shape
+                assert have.tobytes() == want.tobytes()
+                assert have.flags.writeable
+
     def test_corrupt_latest_falls_back(self, tmp_path):
         store = CheckpointStore(str(tmp_path), "fp")
         store.save(1, {"steps_done": 1})
         store.save(2, {"steps_done": 2})
-        with open(os.path.join(str(tmp_path), "checkpoint-00000002.json"),
-                  "w", encoding="utf-8") as handle:
+        with open(self._blob(tmp_path, 2), "w",
+                  encoding="utf-8") as handle:
             handle.write("{tampered")
         reopened = CheckpointStore(str(tmp_path), "fp")
         assert reopened.latest() == {"steps_done": 1}
+
+    def test_flipped_array_byte_falls_back(self, tmp_path):
+        store = CheckpointStore(str(tmp_path), "fp")
+        store.save(1, self._state(1))
+        store.save(2, self._state(2))
+        path = self._blob(tmp_path, 2)
+        with open(path, "r+b") as handle:
+            handle.seek(-5, os.SEEK_END)    # inside the array region
+            byte = handle.read(1)
+            handle.seek(-5, os.SEEK_END)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        got = CheckpointStore(str(tmp_path), "fp").latest()
+        assert got["steps_done"] == 1
+
+    def test_truncated_blob_falls_back(self, tmp_path):
+        store = CheckpointStore(str(tmp_path), "fp")
+        store.save(1, self._state(1))
+        store.save(2, self._state(2))
+        path = self._blob(tmp_path, 2)
+        os.truncate(path, os.path.getsize(path) // 2)
+        got = CheckpointStore(str(tmp_path), "fp").latest()
+        assert got["steps_done"] == 1
+
+    def test_v2_json_store_is_discarded(self, tmp_path):
+        root = str(tmp_path)
+        for step in (3, 4):
+            with open(os.path.join(root, f"checkpoint-{step:08d}.json"),
+                      "w", encoding="utf-8") as handle:
+                handle.write('{"steps_done": %d}\n' % step)
+        with open(os.path.join(root, "manifest.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump({"version": 2, "fingerprint": "fp", "checkpoints": [
+                {"step": step, "file": f"checkpoint-{step:08d}.json",
+                 "sha256": "0" * 64} for step in (3, 4)]}, handle)
+        store = CheckpointStore(root, "fp")
+        assert store.latest() is None
+        assert not [name for name in os.listdir(root)
+                    if name.startswith("checkpoint-")]
 
     def test_fingerprint_mismatch_starts_clean(self, tmp_path):
         store = CheckpointStore(str(tmp_path), "fp-a")
@@ -361,5 +442,5 @@ class TestCheckpointStore:
             store.save(step, {"steps_done": step})
         names = sorted(name for name in os.listdir(str(tmp_path))
                        if name.startswith("checkpoint-"))
-        assert names == ["checkpoint-00000003.json",
-                         "checkpoint-00000004.json"]
+        assert names == ["checkpoint-00000003.bin",
+                         "checkpoint-00000004.bin"]
