@@ -180,49 +180,22 @@ def _train_knobs(args: argparse.Namespace) -> dict:
     return knobs
 
 
-def _pool_spec(args: argparse.Namespace) -> dict:
-    """Operational pool knobs for submitted train specs."""
-    spec = {}
-    if getattr(args, "pool", None):
-        spec["pool"] = args.pool
-    if getattr(args, "pool_jobs", None):
-        spec["pool_jobs"] = args.pool_jobs
-    return spec
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     from .scale.store import DEFAULT_NUM_SHARDS
     from .train import (TrainConfig, build_artifact, corpus_dataset,
-                        load_tuned, train_run)
+                        train_run)
     knobs = _train_knobs(args)
-    jobs, pool = args.jobs, args.pool
-    tuned = None if args.no_tuned else load_tuned(args.tuned_config)
-    if tuned is not None:
-        # The machine-local `repro tune` winner fills in whatever the
-        # user left unset; explicit flags always win.
-        if jobs is None:
-            jobs = tuned["jobs"]
-        if pool is None:
-            pool = tuned.get("pool")
-        for knob in ("micro_batch", "checkpoint_every"):
-            if (getattr(args, knob) is None
-                    and isinstance(tuned.get(knob), int)):
-                knobs[knob] = tuned[knob]
-        print(f"-- tuned config: jobs={jobs} pool={pool or 'serial'} "
-              f"(override with --jobs/--pool, skip with --no-tuned)")
-    jobs = jobs if jobs is not None else 1
     config = _augment_config(args)
     dataset, scale_report = corpus_dataset(
         list(args.paths), config=config, cache_dir=args.cache_dir,
-        jobs=jobs,
+        jobs=args.jobs,
         num_shards=(args.shards if args.shards is not None
                     else DEFAULT_NUM_SHARDS))
     seed = knobs.pop("train_seed", None)
     train_config = TrainConfig(**knobs)
     if seed is not None:
         train_config.seed = seed
-    report = train_run(dataset, train_config, jobs=jobs,
-                       use_threads=pool == "threads",
+    report = train_run(dataset, train_config,
                        checkpoint_dir=args.checkpoint_dir)
     print(f"-- corpus: {scale_report.summary()}")
     print(f"-- train: {report.summary()}")
@@ -247,29 +220,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    """Profile the (jobs, pool, micro_batch, cadence) grid and persist
-    the machine-local winner for `repro train`/benchmarks to pick up."""
-    from .train import default_grid, save_tuned, tune_corpus
-    from .train.tune import machine_cpus
-    grid = default_grid(max_jobs=args.max_jobs)
-    print(f"-- tuning over {len(grid)} candidate(s) on "
-          f"{machine_cpus()} cpu(s); slices run as service jobs")
-    try:
-        report = tune_corpus(
-            [os.path.abspath(p) for p in args.paths],
-            store_dir=args.store_dir, grid=grid,
-            epochs=args.epochs, batch_size=args.batch_size,
-            max_records=args.max_records, seed=args.seed,
-            log=lambda line: print(f"   {line}"))
-    except RuntimeError as exc:
-        print(f"tune failed: {exc}", file=sys.stderr)
-        return 1
-    path = save_tuned(report, args.out)
-    print(f"-- wrote tuned config to {path}")
-    return 0
-
-
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """Submit augment → train → evaluate as one DAG and (optionally)
     wait for the evaluation of the freshly trained model.
@@ -284,7 +234,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     flow = pipeline_flow(
         paths=[os.path.abspath(p) for p in args.paths],
         seed=args.seed, completion_only=args.completion_only,
-        train_knobs=_train_knobs(args), pool=_pool_spec(args),
+        train_knobs=_train_knobs(args),
         register_as=args.register_as, suite=args.suite,
         models=args.models.split(",") if args.models else None,
         samples=args.samples, k=args.k,
@@ -605,7 +555,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 "completion_only": args.completion_only,
                 "register_as": args.register_as}
         spec.update(_train_knobs(args))
-        spec.update(_pool_spec(args))
     elif args.job_kind == "evaluate":
         spec = {"suite": args.suite,
                 "models": args.models.split(",") if args.models
@@ -792,15 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = final checkpoint only)")
         p.add_argument("--register-as", default="trained",
                        help="name the trained model evaluates under")
-        p.add_argument("--pool", choices=("threads", "procs"),
-                       default=None,
-                       help="worker pool type for gradient "
-                            "micro-batches (output is identical "
-                            "either way)")
-        p.add_argument("--pool-jobs", type=int, default=None,
-                       help="resident worker lanes for a submitted "
-                            "train job (local `repro train` uses "
-                            "--jobs)")
 
     p = sub.add_parser("train",
                        help="checkpointed finetuning over a corpus "
@@ -811,16 +751,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="augmentation seed for the corpus")
     p.add_argument("--completion-only", action="store_true",
                    help="train on the ablation (general aug) dataset")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for augmentation shards and "
-                        "gradient micro-batches (default: the tuned "
-                        "config, else 1; output is identical for any "
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for augmentation shards "
+                        "(default 1 = serial; training runs "
+                        "in-process, and output is identical for any "
                         "setting)")
-    p.add_argument("--no-tuned", action="store_true",
-                   help="ignore the machine-local work/tune.json")
-    p.add_argument("--tuned-config", default=None,
-                   help="tuned-config path (default: "
-                        "$REPRO_TUNE_CONFIG, then ./work/tune.json)")
     p.add_argument("--cache-dir",
                    help="augment shard cache; a warm cache means the "
                         "corpus loads with zero re-augmentation")
@@ -835,31 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "digest) as JSON")
     add_train_options(p)
     p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("tune",
-                       help="profile (jobs, pool, micro_batch, "
-                            "cadence) candidates as service jobs and "
-                            "persist the machine-local winner")
-    p.add_argument("paths", nargs="+",
-                   help="Verilog files/directories for the profiling "
-                        "corpus")
-    p.add_argument("--out", default=os.path.join("work", "tune.json"),
-                   help="where to write the tuned config")
-    p.add_argument("--store-dir", default=None,
-                   help="job store + workdir for the profiling slices "
-                        "(default: a fresh temp dir)")
-    p.add_argument("--max-jobs", type=int, default=None,
-                   help="widest worker pool to try (default: cpu "
-                        "count, capped at 4)")
-    p.add_argument("--epochs", type=int, default=1,
-                   help="profiling-slice epochs")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="profiling-slice batch size")
-    p.add_argument("--max-records", type=int, default=48,
-                   help="profiling-slice dataset cap")
-    p.add_argument("--seed", type=int, default=0,
-                   help="augmentation seed for the profiling corpus")
-    p.set_defaults(fn=cmd_tune)
 
     p = sub.add_parser("agent", help="Fig-1 agent loop on a benchmark")
     p.add_argument("problem")

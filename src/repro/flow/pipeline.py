@@ -15,7 +15,6 @@ from __future__ import annotations
 def pipeline_flow(*, paths: list[str], seed: int = 0,
                   completion_only: bool = False,
                   train_knobs: dict | None = None,
-                  pool: dict | None = None,
                   register_as: str = "pipeline-model",
                   suite: str = "thakur",
                   models: list[str] | None = None,
@@ -33,7 +32,6 @@ def pipeline_flow(*, paths: list[str], seed: int = 0,
                    "completion_only": completion_only}
     train_spec = dict(corpus_spec)
     train_spec.update(train_knobs or {})
-    train_spec.update(pool or {})
     train_spec["register_as"] = register_as
     eval_models = list(models) if models else [register_as]
     if register_as not in eval_models:

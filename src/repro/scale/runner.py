@@ -43,41 +43,6 @@ class WorkPool:
     def __init__(self, jobs: int = 1, use_threads: bool = False):
         self.jobs = max(1, jobs)
         self.use_threads = use_threads
-        self._persistent = False
-        self._executor: concurrent.futures.Executor | None = None
-        self._executor_workers = 0
-        self._slots: list[concurrent.futures.Executor] = []
-
-    def _pool_cls(self):
-        return (concurrent.futures.ThreadPoolExecutor if self.use_threads
-                else concurrent.futures.ProcessPoolExecutor)
-
-    def open(self) -> "WorkPool":
-        """Switch to a persistent executor reused across :meth:`map`
-        calls (until :meth:`close`); created lazily on first use.
-
-        Worth it for workloads that map many small rounds — e.g. the
-        trainer's one-``map``-per-optimizer-step — where per-call pool
-        spawn would dominate; one-shot sweeps don't need it.
-        """
-        self._persistent = True
-        return self
-
-    def close(self) -> None:
-        self._persistent = False
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-            self._executor_workers = 0
-        for slot in self._slots:
-            slot.shutdown()
-        self._slots = []
-
-    def __enter__(self) -> "WorkPool":
-        return self.open()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def map(self, fn: Callable[[W], R], items: dict[K, W],
             on_done: Callable[[K, R], None] | None = None) -> dict[K, R]:
@@ -94,30 +59,11 @@ class WorkPool:
                 if on_done is not None:
                     on_done(key, results[key])
             return results
-        if self._persistent:
-            return self._drain(self._persistent_executor(len(items)),
-                               fn, items, on_done)
-        with self._pool_cls()(max_workers=min(self.jobs,
-                                              len(items))) as pool:
+        pool_cls = (concurrent.futures.ThreadPoolExecutor
+                    if self.use_threads
+                    else concurrent.futures.ProcessPoolExecutor)
+        with pool_cls(max_workers=min(self.jobs, len(items))) as pool:
             return self._drain(pool, fn, items, on_done)
-
-    def _persistent_executor(self,
-                             width: int) -> concurrent.futures.Executor:
-        """The reused executor, sized lazily to ``min(jobs, width)``.
-
-        The first ``map`` call sizes the pool to what it can actually
-        use; a later, wider call grows it (up to ``jobs``) by swapping
-        in a bigger executor.  It never shrinks — workers already
-        spawned stay warm for the next round.
-        """
-        want = min(self.jobs, max(1, width))
-        if self._executor is not None and self._executor_workers < want:
-            self._executor.shutdown()
-            self._executor = None
-        if self._executor is None:
-            self._executor = self._pool_cls()(max_workers=want)
-            self._executor_workers = want
-        return self._executor
 
     @staticmethod
     def _drain(pool: concurrent.futures.Executor,
@@ -140,48 +86,6 @@ class WorkPool:
                 continue
             if on_done is not None:
                 on_done(key, results[key])
-        if errors:
-            raise errors[min(errors)]
-        return results
-
-    # -- affinity lanes ---------------------------------------------------
-
-    def ensure_slots(self, count: int) -> int:
-        """Provision ``count`` single-worker lanes for :meth:`slot_map`.
-
-        Each lane is its own one-worker executor, so work submitted to
-        slot ``s`` always runs on the *same* resident worker — the
-        affinity the resident-trainer protocol needs (worker state
-        installed on lane ``s`` is only ever addressed via lane ``s``).
-        Lanes persist until :meth:`close`; calling again with a larger
-        ``count`` adds lanes, never recycles existing ones.
-        """
-        count = min(max(1, count), self.jobs)
-        while len(self._slots) < count:
-            self._slots.append(self._pool_cls()(max_workers=1))
-        return count
-
-    def slot_map(self, fn: Callable[[W], R],
-                 items: dict[int, W]) -> dict[int, R]:
-        """Run ``fn(items[s])`` on lane ``s`` for every slot in ``items``.
-
-        Submits to every lane first, then drains; all failures are
-        collected and the lowest-slot error wins (deterministic), after
-        every lane has finished its round — no lane is left mid-call.
-        """
-        for slot in items:
-            if not 0 <= slot < len(self._slots):
-                raise ValueError(f"slot {slot} not provisioned "
-                                 f"(have {len(self._slots)} lanes)")
-        futures = {slot: self._slots[slot].submit(fn, item)
-                   for slot, item in sorted(items.items())}
-        results: dict[int, R] = {}
-        errors: dict[int, BaseException] = {}
-        for slot, future in futures.items():
-            try:
-                results[slot] = future.result()
-            except BaseException as exc:       # noqa: BLE001 - re-raised
-                errors[slot] = exc
         if errors:
             raise errors[min(errors)]
         return results

@@ -123,11 +123,8 @@ def _train_blob(spec: dict, workdir: str, jobs: int) -> dict:
     checkpoints live under a spec-keyed directory, so a job requeued by
     crash recovery resumes instead of restarting (byte-identical either
     way).  Invocation-dependent fields (``resumed_steps``, cache
-    counters) are deliberately excluded from the blob.
-
-    ``pool``/``pool_jobs`` spec knobs (the tuner's output) override the
-    daemon's default pool for this job — operational only, the blob is
-    identical either way (determinism contract, repro.train.service).
+    counters) are deliberately excluded from the blob.  ``jobs`` sizes
+    the augmentation shards; training itself runs in-process.
     """
     from ..scale.store import DEFAULT_NUM_SHARDS
     from ..train import build_artifact, corpus_dataset, train_run
@@ -140,8 +137,6 @@ def _train_blob(spec: dict, workdir: str, jobs: int) -> dict:
         num_shards=spec.get("shards") or DEFAULT_NUM_SHARDS)
     report = train_run(
         dataset, _train_config(spec),
-        jobs=spec.get("pool_jobs") or jobs,
-        use_threads=spec.get("pool") == "threads",
         checkpoint_dir=os.path.join(workdir,
                                     f"train-{spec_digest[:12]}"))
     artifact = build_artifact(spec["register_as"], report, dataset)

@@ -138,24 +138,10 @@ def _normalize_train(spec: dict) -> dict:
                  and not isinstance(max_records, bool)
                  and max_records > 0),
              "'max_records' must be a positive integer or null")
-    pool = spec.get("pool")
-    _require(pool in (None, "threads", "procs"),
-             "'pool' must be null, 'threads', or 'procs'")
-    pool_jobs = spec.get("pool_jobs")
-    _require(pool_jobs is None
-             or (isinstance(pool_jobs, int)
-                 and not isinstance(pool_jobs, bool) and pool_jobs >= 1),
-             "'pool_jobs' must be a positive integer or null")
     spec_out = dict(base)
     spec_out.update(knobs)
     spec_out.update({"lr": float(lr), "max_records": max_records,
-                     "register_as": name,
-                     # Operational execution knobs (pool type / width).
-                     # Determinism makes them output-invariant — the
-                     # result blob is identical for every setting — so
-                     # they may live in the spec without breaking blob
-                     # purity.  The tuner profiles over them.
-                     "pool": pool, "pool_jobs": pool_jobs})
+                     "register_as": name})
     try:        # one authoritative consistency check (heads divide, …)
         _train_config(spec_out).validate()
     except ValueError as exc:

@@ -1,34 +1,36 @@
-"""The checkpointed, data-parallel trainer (resident-worker edition).
+"""The checkpointed trainer: one serial optimizer loop.
 
-**Determinism contract.**  A run's loss curve and final weights are a
-pure function of ``(dataset, TrainConfig)`` — never of ``jobs``,
-thread vs process pools, checkpoint cadence, transport, or how many
-SIGKILL-and-resume cycles it survived.  Three mechanisms enforce this:
+**Determinism contract.**  For a given BLAS thread count, a run's loss
+curve and final weights are a pure function of ``(dataset,
+TrainConfig)`` — never of checkpoint cadence, of ``--jobs`` (which
+sizes augmentation only), or of how many SIGKILL-and-resume cycles the
+run survived.  Three mechanisms enforce this:
 
 1. the epoch/batch schedule is a pure function of the dataset digest
    and config (:func:`repro.train.data.epoch_plan`);
 2. per-micro-batch gradients are reduced in canonical micro-batch
-   index order, weighted by valid-token counts — identical arithmetic
-   whether the micro-batches ran inline, on threads, or on forked
-   workers (:mod:`repro.train.worker`);
+   index order, weighted by valid-token counts
+   (:func:`_optimizer_step`);
 3. checkpoints capture the *complete* optimisation state (weights,
    Adam moments and step count, loss history, schedule position) as
    raw array bytes, so a resumed run replays the remaining steps with
    bit-identical inputs (:mod:`repro.train.checkpoint`).
 
-**The parallel hot path** is :class:`_StepRunner`.  ``jobs=1`` runs the
-fused inline kernel (one preallocated gradient buffer, zero copies).
-``jobs>1`` keeps a *resident* replica on every worker lane: weights
-ship once at session start, each optimizer step crosses the boundary
-as (previous step's reduced gradient to replay, this step's schedule
-slices) in and per-micro-batch gradients out — via shared-memory
-mailboxes on fork pools (:mod:`repro.train.shm`), so the steady state
-pickles only index/loss/count tuples.  Replicas stay bit-identical to
-the service model by replaying the identical Adam update from the
-identical reduced-gradient bytes; a state-digest handshake every
-``digest_every`` steps proves it at runtime.  Checkpoints are written
-inline: a raw-binary blob costs a millisecond or two at the paper-loop
-model size, most of it the blob's sha256.
+The BLAS thread count is outside that tuple: a multi-threaded BLAS may
+split a matrix product's sums differently from a single-threaded one.
+At the sizes every test and the paper loop train (``d_model`` 16–32)
+the weights match either way; at ``d_model`` 64 and above, runs with
+``OPENBLAS_NUM_THREADS`` unset and set to 1 have been measured to
+differ on a 2-CPU host.  Compare weights across hosts or environments
+only with the same BLAS budget.
+
+Training runs in-process, on one code path: at this model's size,
+splitting a step's micro-batches across worker threads or processes
+costs more than it saves (measured on 2 CPUs: slower than serial at
+the paper-loop size, and at best 1.11x at ``d_model`` 256 with
+single-threaded BLAS).  Checkpoints are written inline: a raw-binary
+blob costs a millisecond or two at the paper-loop model size, most of
+it the blob's sha256.
 
 Proven by ``tests/test_train_service.py`` (property + SIGKILL
 harness).
@@ -37,9 +39,7 @@ harness).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,14 +50,12 @@ from ..llm.tiny_transformer import Adam, TinyTransformerLM, \
 from ..llm.tokenizer import Tokenizer
 from ..llm.trainer import evaluate_transformer, records_to_text, \
     split_dataset
-from ..scale.runner import WorkPool
 from .checkpoint import (TRAIN_FORMAT_VERSION, CheckpointStore,
                          state_digest)
 from .data import dataset_digest, encode_sequences, epoch_plan
-from .shm import open_channel_group
 from .weights import model_weights_bundle
 from .worker import FlatGrads, flat_microbatch_grads, model_state, \
-    resident_close, resident_init, resident_step, set_model_state
+    set_model_state
 
 
 @dataclass
@@ -114,10 +112,9 @@ class TrainReport:
     """What one (possibly resumed) run produced.
 
     Only spec-pure fields belong in service result blobs:
-    ``resumed_steps``/``checkpoints_written``/``transport``/
-    ``replica_checks`` describe *this invocation* and differ between a
-    fresh and a resumed run (or between pool types) even though the
-    trained weights are identical.
+    ``resumed_steps``/``checkpoints_written`` describe *this
+    invocation* and differ between a fresh and a resumed run even
+    though the trained weights are identical.
     """
 
     steps: int = 0
@@ -129,15 +126,8 @@ class TrainReport:
     weights_sha256: str = ""
     dataset_digest: str = ""
     completed: bool = True
-    jobs: int = 1
     resumed_steps: int = 0
     checkpoints_written: int = 0
-    #: How gradients crossed the pool boundary: ``inline`` (no pool),
-    #: ``local`` (thread lanes, shared arrays), ``shm`` (process lanes,
-    #: shared memory), ``pickle`` (process lanes, fallback).
-    transport: str = "inline"
-    #: Digest handshakes that confirmed worker replicas bit-identical.
-    replica_checks: int = 0
     #: Portable weights bundle (see :mod:`repro.train.weights`) — a
     #: pure function of the trained weights + tokenizer, embedded in
     #: artifacts so inference/eval need no filesystem access.
@@ -150,218 +140,46 @@ class TrainReport:
         return self.losses[-1] if self.losses else float("inf")
 
     def summary(self) -> str:
-        resumed = (f", resumed at step {self.resumed_steps}"
+        resumed = (f" [resumed at step {self.resumed_steps}]"
                    if self.resumed_steps else "")
-        return (f"{self.steps} step(s) over {self.records} record(s) "
-                f"[jobs={self.jobs}{resumed}]; final loss "
+        return (f"{self.steps} step(s) over {self.records} "
+                f"record(s){resumed}; final loss "
                 f"{self.final_loss:.4f}; weights "
                 f"{self.weights_sha256[:12]}")
 
 
-#: Per-process counter distinguishing resident sessions (a long-lived
-#: process — tests, the daemon — may run many trainings).
-_SESSION_IDS = itertools.count()
+def _optimizer_step(model: TinyTransformerLM, optimizer: Adam,
+                    grads: FlatGrads, acc: np.ndarray,
+                    micros: list) -> float:
+    """One optimizer step over one macro-batch's micro-batches.
 
-
-class _StepRunner:
-    """Owns one run's optimizer-step machinery.
-
-    * ``jobs=1`` (or single-micro-batch schedules): the fused inline
-      kernel — every ``param.grad`` is a view into one flat buffer
-      (:class:`~repro.train.worker.FlatGrads`), so a step is
-      zero-the-buffer → backward → weighted accumulate, no per-param
-      loops or copies.
-    * ``jobs>1``: resident lanes.  Lanes are provisioned lazily on the
-      first parallel step (:meth:`WorkPool.ensure_slots` — one
-      single-worker executor per lane, so lane ``c`` is always the
-      same OS thread/process), weights+Adam state ship once
-      (:func:`resident_init`, digest-acknowledged), then every step is
-      one :meth:`WorkPool.slot_map` round of :func:`resident_step`.
-      Idle lanes (steps with fewer micro-batches than lanes) still
-      receive apply-only payloads so no replica misses an update.
-
-    The reduction is identical float arithmetic in both modes:
-    ``acc += count * grad`` in micro-batch index order, then one
-    divide into the flat buffer, then ``optimizer.step()``.
+    Every ``param.grad`` is a view into ``grads.flat``
+    (:class:`~repro.train.worker.FlatGrads`), so each micro-batch is
+    zero-the-buffer → backward; ``acc += count * grad`` then reduces
+    them in canonical micro-batch index order, one divide lands the
+    token-weighted mean back in the flat buffer, and Adam steps.
+    Returns the step's token-weighted mean loss.
     """
-
-    def __init__(self, model: TinyTransformerLM, optimizer: Adam,
-                 cfg_blob: dict, pool: WorkPool, jobs: int,
-                 use_threads: bool, max_micros: int, digest_every: int):
-        self.model = model
-        self.optimizer = optimizer
-        self.cfg_blob = cfg_blob
-        self.pool = pool
-        self.use_threads = use_threads
-        self.digest_every = max(0, digest_every)
-        self.grads = FlatGrads(model)
-        self.acc = np.zeros(self.grads.size)
-        self.width = min(jobs, max_micros) if jobs > 1 else 1
-        self.rows = -(-max_micros // self.width)
-        self.transport = "inline"
-        self.replica_checks = 0
-        self.session: str | None = None
-        self.group = None
-        self._pending = False       # lanes owe a replay of grads.flat
-        self._lane_steps = 0
-
-    # -- shared reduction tail --------------------------------------------
-
-    def _apply(self, total: int) -> None:
-        """Divide the accumulated gradient and step the optimizer."""
-        np.divide(self.acc, total, out=self.grads.flat)
-        self.optimizer.step()
-
-    def _digest(self) -> str:
-        return state_digest([p.value for p in self.model.params()])
-
-    # -- inline (jobs == 1) -----------------------------------------------
-
-    def _inline_step(self, micros: list) -> float:
-        self.acc[...] = 0.0
-        loss_sum, total = 0.0, 0
-        for ids, targets in micros:
-            loss, count = flat_microbatch_grads(self.model, self.grads,
-                                                ids, targets)
-            loss_sum += loss * count
-            total += count
-            self.acc += count * self.grads.flat
-        self._apply(total)
-        return loss_sum / total
-
-    # -- resident lanes (jobs > 1) ----------------------------------------
-
-    def _start_lanes(self) -> None:
-        self.width = self.pool.ensure_slots(self.width)
-        self.session = f"train-{os.getpid()}-{next(_SESSION_IDS)}"
-        self.group = open_channel_group(self.width, self.rows,
-                                        self.grads.size,
-                                        self.use_threads)
-        self.transport = (self.group.kind if self.group is not None
-                          else "pickle")
-        state = model_state(self.model)
-        params = self.model.params()
-        base = {"session": self.session, "parent": os.getpid(),
-                "config": self.cfg_blob,
-                "state": state,
-                "adam_m": [p.m for p in params],
-                "adam_v": [p.v for p in params],
-                "adam_step": self.optimizer.step_count,
-                "lr": self.optimizer.lr,
-                "betas": (self.optimizer.beta1, self.optimizer.beta2),
-                "eps": self.optimizer.eps}
-        payloads = {slot: {**base, "slot": slot,
-                           "channel": (self.group.specs[slot]
-                                       if self.group is not None
-                                       else None)}
-                    for slot in range(self.width)}
-        acks = self.pool.slot_map(resident_init, payloads)
-        expected = self._digest()
-        for slot, ack in acks.items():
-            if ack != expected:
-                raise RuntimeError(
-                    f"resident lane {slot} installed state {ack[:12]} "
-                    f"!= service {expected[:12]}")
-        self.replica_checks += 1
-
-    def _lane_step(self, micros: list) -> float:
-        if self.session is None:
-            self._start_lanes()
-        n = len(micros)
-        self._lane_steps += 1
-        want_digest = bool(
-            self._pending and self.digest_every
-            and self._lane_steps % self.digest_every == 0)
-        expected = self._digest() if want_digest else None
-        grad_blob = None
-        in_channel = False
-        if self._pending:
-            # grads.flat still holds the previous step's reduced
-            # gradient (nothing wrote it since the last _apply).
-            if self.group is not None:
-                self.group.bcast[...] = self.grads.flat
-                in_channel = True
-            else:
-                grad_blob = self.grads.flat.copy()
-        bounds = [round(i * n / self.width)
-                  for i in range(self.width + 1)]
-        payloads = {}
-        for lane in range(self.width):
-            chunk = [(i, micros[i][0], micros[i][1])
-                     for i in range(bounds[lane], bounds[lane + 1])]
-            payload = {"session": self.session, "slot": lane,
-                       "micros": chunk, "want_digest": want_digest,
-                       "grad_in_channel": in_channel}
-            if grad_blob is not None:
-                payload["grad"] = grad_blob
-            payloads[lane] = payload
-        outs = self.pool.slot_map(resident_step, payloads)
-        if want_digest:
-            for lane, out in outs.items():
-                if out.get("digest") != expected:
-                    raise RuntimeError(
-                        f"replica drift on lane {lane}: "
-                        f"{str(out.get('digest'))[:12]} != service "
-                        f"{expected[:12]} after step {self._lane_steps}")
-            self.replica_checks += 1
-        table: dict[int, tuple[float, int, np.ndarray]] = {}
-        for lane, out in outs.items():
-            pickled = out.get("grads")
-            for pos, (index, row, loss, count) in \
-                    enumerate(out["micros"]):
-                vec = (self.group.outs[lane][row]
-                       if self.group is not None else pickled[pos])
-                table[index] = (loss, count, vec)
-        self.acc[...] = 0.0
-        loss_sum, total = 0.0, 0
-        for index in range(n):          # canonical reduction order
-            loss, count, vec = table[index]
-            loss_sum += loss * count
-            total += count
-            self.acc += count * vec
-        self._apply(total)
-        self._pending = True
-        return loss_sum / total
-
-    # -- public -----------------------------------------------------------
-
-    def step(self, micros: list) -> float:
-        """One optimizer step over one macro-batch's micro-batches."""
-        if self.width <= 1:
-            return self._inline_step(micros)
-        return self._lane_step(micros)
-
-    def shutdown(self) -> None:
-        """Tear down lanes + transport.  Safe to call on any failure."""
-        if self.session is not None:
-            payloads = {lane: {"session": self.session, "slot": lane}
-                        for lane in range(self.width)}
-            try:
-                self.pool.slot_map(resident_close, payloads)
-            except Exception:
-                pass            # broken pool: workers die with it
-            self.session = None
-        if self.group is not None:
-            self.group.close()
-            self.group = None
+    acc[...] = 0.0
+    loss_sum, total = 0.0, 0
+    for ids, targets in micros:
+        loss, count = flat_microbatch_grads(model, grads, ids, targets)
+        loss_sum += loss * count
+        total += count
+        acc += count * grads.flat
+    np.divide(acc, total, out=grads.flat)
+    optimizer.step()
+    return loss_sum / total
 
 
 class TrainerService:
-    """Run finetuning with checkpoints, resume, and resident workers."""
+    """Run finetuning with checkpoints and bit-identical resume."""
 
-    def __init__(self, config: TrainConfig | None = None, jobs: int = 1,
-                 use_threads: bool = False,
-                 checkpoint_dir: str | None = None,
-                 digest_every: int = 16):
+    def __init__(self, config: TrainConfig | None = None,
+                 checkpoint_dir: str | None = None):
         self.config = config or TrainConfig()
         self.config.validate()
-        self.jobs = max(1, jobs)
-        self.use_threads = use_threads
         self.checkpoint_dir = checkpoint_dir
-        #: Replica-digest handshake cadence in lane steps (0 = only the
-        #: init handshake).  Operational only — never affects output —
-        #: so it lives on the service, not in the fingerprint.
-        self.digest_every = digest_every
 
     # -- checkpoint plumbing ---------------------------------------------
 
@@ -457,66 +275,52 @@ class TrainerService:
                                            cfg_blob, tokenizer))
             committed = step
 
+        grads = FlatGrads(model)
+        acc = np.zeros(grads.size)
         global_step = 0
         executed = 0
         completed = True
-        max_micros = -(-config.batch_size // config.micro_batch)
-        with WorkPool(jobs=self.jobs,
-                      use_threads=self.use_threads) as pool:
-            runner = _StepRunner(model, optimizer, cfg_blob, pool,
-                                 self.jobs, self.use_threads,
-                                 max_micros, self.digest_every)
-            try:
-                for epoch in range(config.epochs):
-                    plan = epoch_plan(sequences, digest, config.seed,
-                                      epoch, config.batch_size,
-                                      config.micro_batch,
-                                      config.seq_len, tokenizer.pad_id)
-                    for micros in plan:
-                        global_step += 1
-                        if global_step <= done_steps:
-                            continue    # replayed from the checkpoint
-                        losses.append(runner.step(micros))
-                        done_steps = global_step
-                        executed += 1
-                        if (config.checkpoint_every
-                                and global_step
-                                % config.checkpoint_every == 0):
-                            save(global_step)
-                        if (stop_after_steps is not None
-                                and executed >= stop_after_steps):
-                            completed = False
-                            break
-                    if not completed:
-                        break
-                    if epoch + 1 > val_done:
-                        val_losses.append(evaluate_transformer(
-                            model, val_sequences, tokenizer.pad_id,
-                            config.seq_len))
-                        val_done = epoch + 1
-            finally:
-                runner.shutdown()
+        for epoch in range(config.epochs):
+            plan = epoch_plan(sequences, digest, config.seed, epoch,
+                              config.batch_size, config.micro_batch,
+                              config.seq_len, tokenizer.pad_id)
+            for micros in plan:
+                global_step += 1
+                if global_step <= done_steps:
+                    continue            # replayed from the checkpoint
+                losses.append(_optimizer_step(model, optimizer, grads,
+                                              acc, micros))
+                done_steps = global_step
+                executed += 1
+                if (config.checkpoint_every
+                        and global_step % config.checkpoint_every == 0):
+                    save(global_step)
+                if (stop_after_steps is not None
+                        and executed >= stop_after_steps):
+                    completed = False
+                    break
+            if not completed:
+                break
+            if epoch + 1 > val_done:
+                val_losses.append(evaluate_transformer(
+                    model, val_sequences, tokenizer.pad_id,
+                    config.seq_len))
+                val_done = epoch + 1
         save(done_steps)            # final (or interruption) checkpoint
         return TrainReport(
             steps=done_steps, epochs=val_done, records=len(capped),
             trained_tokens=sum(len(s) for s in sequences),
             losses=losses, val_losses=val_losses,
             weights_sha256=state_digest(model_state(model)),
-            dataset_digest=digest, completed=completed, jobs=self.jobs,
+            dataset_digest=digest, completed=completed,
             resumed_steps=resumed_steps,
             checkpoints_written=store.writes if store else 0,
-            transport=runner.transport,
-            replica_checks=runner.replica_checks,
             weights_bundle=model_weights_bundle(model, tokenizer))
 
 
 def train_run(dataset: Dataset, config: TrainConfig | None = None,
-              jobs: int = 1, use_threads: bool = False,
               checkpoint_dir: str | None = None,
-              stop_after_steps: int | None = None,
-              digest_every: int = 16) -> TrainReport:
+              stop_after_steps: int | None = None) -> TrainReport:
     """One-shot convenience wrapper around :class:`TrainerService`."""
-    service = TrainerService(config, jobs=jobs, use_threads=use_threads,
-                             checkpoint_dir=checkpoint_dir,
-                             digest_every=digest_every)
+    service = TrainerService(config, checkpoint_dir=checkpoint_dir)
     return service.run(dataset, stop_after_steps=stop_after_steps)

@@ -1,46 +1,20 @@
-"""Micro-batch gradient kernels and the resident-worker protocol.
+"""The trainer's micro-batch gradient kernel and model-state helpers.
 
-Two generations of the data-parallel boundary live here:
-
-**Chunk workers** (:func:`run_train_chunk`, kept for compatibility and
-as the one-shot fallback) ship the full weight state inside every chunk
-payload and rebuild the model per call — correct, but the state copy ×
-pickle × model re-init per optimizer step made ``--jobs 4`` *slower*
-than serial.
-
-**Resident workers** (:func:`resident_init` / :func:`resident_step` /
-:func:`resident_close`) fix that: weights cross the pool boundary once
-per run.  Each worker lane keeps a live model *and* an Adam replica in
-module state, and every step receives only (the previous step's reduced
-gradient to replay, this step's micro-batch slices) and sends back only
-per-micro-batch gradients — through a :class:`~repro.train.shm.GradChannel`
-mailbox when one is attached, so gradient tensors never round-trip
-through pickle on process pools.  Replaying the optimizer update from
-the *identical* reduced-gradient bytes with identical Adam state is
-bit-exact, so replicas never drift from the service model; the service
-verifies that with a state-digest handshake every K steps.
-
-The reduction stays the service's job, strictly in micro-batch index
-order — float addition is not associative, so canonical-order reduction
-(never completion or worker order) is what keeps loss curves and final
-weights byte-identical across ``--jobs``, threads vs processes, and
-chunk boundaries.  With ``jobs=1`` the service calls
-:func:`flat_microbatch_grads` directly on its live model (no copies,
-same arithmetic).
+:class:`FlatGrads` rebinds every parameter's gradient to a view into
+one flat buffer, so a micro-batch is zero-the-buffer → backward and its
+whole gradient reads back as one contiguous vector.
+:class:`~repro.train.service.TrainerService` re-weights each
+micro-batch's gradient by its valid-token count and reduces them in
+canonical micro-batch index order — float addition is not associative,
+so that fixed order is part of what keeps loss curves and final weights
+bit-identical across checkpoint cadences and resumes.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
-
 import numpy as np
 
-from ..llm.tiny_transformer import Adam, TinyTransformerLM, \
-    TransformerConfig
-from .checkpoint import state_digest
-from .shm import attach_channel
+from ..llm.tiny_transformer import TinyTransformerLM
 
 
 def model_state(model: TinyTransformerLM) -> list[np.ndarray]:
@@ -66,10 +40,10 @@ class FlatGrads:
     """Rebind every param's ``.grad`` to slices of one flat buffer.
 
     Zeroing becomes a single vectorised store and a whole gradient
-    crosses reduction/transport as one contiguous vector — replacing
-    the per-param zero/backward/copy loop.  The views alias exactly the
-    memory the backward pass accumulates into, so the arithmetic (and
-    therefore every loss/weight byte) is unchanged.
+    reads back as one contiguous vector — replacing the per-param
+    zero/backward/copy loop.  The views alias exactly the memory the
+    backward pass accumulates into, so the arithmetic (and therefore
+    every loss/weight byte) is unchanged.
     """
 
     def __init__(self, model: TinyTransformerLM):
@@ -92,184 +66,11 @@ def flat_microbatch_grads(model: TinyTransformerLM, grads: FlatGrads,
                           ) -> tuple[float, int]:
     """(mean loss, valid-token count); gradients land in ``grads.flat``.
 
-    The fused twin of :func:`microbatch_grads`: one buffer zero, one
-    backward pass, no per-param copies.
+    Gradients are the model's own per-micro-batch normalisation (mean
+    over the micro-batch's valid tokens); the caller re-weights them by
+    ``count`` when reducing, so the combined step gradient equals a
+    token-weighted mean over the whole macro-batch.
     """
     grads.zero()
     loss = model.loss_and_backward(ids, targets)
     return loss, int((targets >= 0).sum())
-
-
-def microbatch_grads(model: TinyTransformerLM, ids: np.ndarray,
-                     targets: np.ndarray
-                     ) -> tuple[float, int, list[np.ndarray]]:
-    """(mean loss, valid-token count, per-param grads) for one micro-batch.
-
-    Gradients are the model's own per-micro-batch normalisation (mean
-    over the micro-batch's valid tokens); callers re-weight them by
-    ``count`` when reducing, so the combined step gradient equals a
-    token-weighted mean over the whole macro-batch.
-    """
-    for param in model.params():
-        param.zero_grad()
-    loss = model.loss_and_backward(ids, targets)
-    count = int((targets >= 0).sum())
-    return loss, count, [param.grad.copy() for param in model.params()]
-
-
-def run_train_chunk(payload: tuple[list[np.ndarray], dict,
-                                   list[tuple[int, np.ndarray,
-                                              np.ndarray]]]
-                    ) -> dict[int, tuple[float, int, list[np.ndarray]]]:
-    """One-shot gradient pass over ``(state, config, micro-batches)``.
-
-    The pre-resident protocol: the worker rebuilds the model from the
-    shipped state every call.  Kept as the compatibility/fallback path;
-    the service now drives :func:`resident_step` instead.
-    """
-    state, config_blob, chunk = payload
-    model = TinyTransformerLM(TransformerConfig(**config_blob))
-    set_model_state(model, state)
-    return {index: microbatch_grads(model, ids, targets)
-            for index, ids, targets in chunk}
-
-
-# --------------------------------------------------------------------------
-# Resident workers
-# --------------------------------------------------------------------------
-
-class _Resident:
-    """One lane's live replica: model + Adam state + grad buffer."""
-
-    def __init__(self, payload: dict):
-        self.model = TinyTransformerLM(
-            TransformerConfig(**payload["config"]))
-        set_model_state(self.model, payload["state"])
-        params = self.model.params()
-        for param, m, v in zip(params, payload["adam_m"],
-                               payload["adam_v"]):
-            param.m = np.array(m, dtype=np.float64, copy=True)
-            param.v = np.array(v, dtype=np.float64, copy=True)
-        self.optimizer = Adam(params, lr=payload["lr"],
-                              betas=tuple(payload["betas"]),
-                              eps=payload["eps"])
-        self.optimizer.step_count = payload["adam_step"]
-        self.grads = FlatGrads(self.model)
-        self.channel = attach_channel(payload.get("channel"))
-
-    def replay(self, reduced: np.ndarray) -> None:
-        """Apply one optimizer step from the service's reduced gradient.
-
-        Identical bytes in, identical Adam state → identical weights
-        out: the replica advances in lockstep with the service model.
-        """
-        self.grads.flat[...] = reduced
-        self.optimizer.step()
-
-    def digest(self) -> str:
-        return state_digest([p.value for p in self.model.params()])
-
-    def close(self) -> None:
-        if self.channel is not None:
-            self.channel.close()
-            self.channel = None
-
-
-#: Live replicas, keyed by (session id, lane).  In process pools each
-#: lane process sees only its own key; in thread pools all lanes share
-#: the dict (distinct keys), which is why sessions carry the lane.
-_RESIDENTS: dict[tuple[str, int], _Resident] = {}
-
-_WATCHDOG_STARTED = False
-
-
-def _start_parent_watchdog(parent_pid: int) -> None:
-    """Exit this worker process when its trainer parent disappears.
-
-    A SIGKILL'd parent cannot shut its pools down, and forked executor
-    workers inherit a dup of their own call-queue write end — the queue
-    read never sees EOF, so orphaned residents would linger forever
-    (holding the parent's stdout/stderr pipes open, which in turn hangs
-    anything capturing the trainer's output).  Reparenting is the one
-    reliable death signal, so a daemon thread polls for it.
-    """
-    global _WATCHDOG_STARTED
-    if _WATCHDOG_STARTED or os.getpid() == parent_pid:
-        return      # thread lanes run inside the trainer itself
-    _WATCHDOG_STARTED = True
-
-    def watch() -> None:
-        while os.getppid() == parent_pid:
-            time.sleep(0.5)
-        os._exit(0)
-
-    threading.Thread(target=watch, daemon=True,
-                     name="parent-watchdog").start()
-
-
-def resident_init(payload: dict) -> str:
-    """Install a lane's replica; returns its state digest as the ack.
-
-    The only call that ships full weights (plus Adam moments, so replays
-    are bit-exact mid-run/after resume).  Module-level and picklable —
-    runs on :meth:`repro.scale.runner.WorkPool.slot_map` lanes.
-    """
-    _start_parent_watchdog(payload["parent"])
-    key = (payload["session"], payload["slot"])
-    old = _RESIDENTS.pop(key, None)
-    if old is not None:
-        old.close()
-    resident = _Resident(payload)
-    _RESIDENTS[key] = resident
-    return resident.digest()
-
-
-def resident_step(payload: dict) -> dict:
-    """One lane's share of one optimizer step.
-
-    Payload: ``session``/``slot`` select the replica; ``grad`` (or
-    ``grad_in_channel``) carries the previous step's reduced gradient
-    to replay *before* computing this step's micro-batches — so grads
-    are always taken at the service model's current weights;
-    ``micros`` lists ``(index, ids, targets)``; ``want_digest``
-    requests a handshake digest of the replayed state.
-
-    Returns ``{"micros": [(index, row, loss, count), ...]}`` plus
-    ``"grads"`` (pickle fallback) or nothing (gradients already in the
-    channel's ``out`` rows) and optionally ``"digest"``.
-    """
-    resident = _RESIDENTS.get((payload["session"], payload["slot"]))
-    if resident is None:
-        raise RuntimeError(
-            f"resident session {payload['session']!r} lane "
-            f"{payload['slot']} lost (worker restarted?)")
-    reduced = payload.get("grad")
-    if reduced is None and payload.get("grad_in_channel"):
-        reduced = resident.channel.bcast
-    if reduced is not None:
-        resident.replay(reduced)
-    out: dict = {"micros": []}
-    grads = None if resident.channel is not None else []
-    for row, (index, ids, targets) in enumerate(payload["micros"]):
-        loss, count = flat_microbatch_grads(resident.model,
-                                            resident.grads, ids, targets)
-        out["micros"].append((index, row, loss, count))
-        if resident.channel is not None:
-            resident.channel.out[row, :] = resident.grads.flat
-        else:
-            grads.append(resident.grads.flat.copy())
-    if grads is not None:
-        out["grads"] = grads
-    if payload.get("want_digest"):
-        out["digest"] = resident.digest()
-    return out
-
-
-def resident_close(payload: dict) -> bool:
-    """Tear down a lane's replica (and its channel mappings)."""
-    resident = _RESIDENTS.pop((payload["session"], payload["slot"]),
-                              None)
-    if resident is None:
-        return False
-    resident.close()
-    return True

@@ -491,6 +491,17 @@ class TestTrainSpecValidation:
         with pytest.raises(SpecError):
             validate_spec("train", {"paths": []})
 
+    def test_retired_pool_keys_are_ignored(self, tmp_path):
+        """Train specs journaled when ``pool``/``pool_jobs`` still
+        chose a gradient worker pool validate to the same canonical
+        spec as specs without them, so those journals still replay."""
+        corpus = _corpus(tmp_path)
+        plain = validate_spec("train", {"paths": [corpus]})
+        legacy = validate_spec("train", {"paths": [corpus],
+                                         "pool": "procs", "pool_jobs": 2})
+        assert legacy == plain
+        assert "pool" not in legacy and "pool_jobs" not in legacy
+
     def test_trained_evaluate_spec(self):
         spec = validate_spec(
             "evaluate", {"suite": "thakur", "models": ["fresh"],

@@ -4,11 +4,10 @@ Mirrors ``test_serve_recovery.py``'s split: tier-1 runs fixed
 interruption points and a derandomized hypothesis profile; the
 randomized SIGKILL sweep runs under ``pytest -m tier2``.
 
-The contract (see ROADMAP "repro.train"): loss curves and final
-weights are byte-identical across ``--jobs`` settings, thread vs
-process pools, shard counts, checkpoint cadences, and any number of
-interruption-and-resume cycles — including SIGKILL between a
-checkpoint blob landing and the manifest pointing at it.
+The contract (see ``repro.train.service``): loss curves and final
+weights are byte-identical across shard counts, checkpoint cadences,
+and any number of interruption-and-resume cycles — including SIGKILL
+between a checkpoint blob landing and the manifest pointing at it.
 """
 
 import json
@@ -107,7 +106,7 @@ class TestCorpusLoading:
 
 
 # --------------------------------------------------------------------------
-# Tier-1 fixed points: jobs / cadence / resume invariance
+# Tier-1 fixed points: cadence / resume invariance
 # --------------------------------------------------------------------------
 
 class TestDeterminism:
@@ -117,22 +116,13 @@ class TestDeterminism:
 
     @pytest.fixture(scope="class")
     def reference(self, dataset):
-        return train_run(dataset, _tiny_config(), jobs=1)
-
-    def test_byte_identical_across_jobs(self, dataset, reference):
-        threads = train_run(dataset, _tiny_config(), jobs=3,
-                            use_threads=True)
-        procs = train_run(dataset, _tiny_config(), jobs=2)
-        for run in (threads, procs):
-            assert run.weights_sha256 == reference.weights_sha256
-            assert run.losses == reference.losses
-            assert run.val_losses == reference.val_losses
+        return train_run(dataset, _tiny_config())
 
     def test_checkpoint_cadence_is_operational_only(self, dataset,
                                                     reference, tmp_path):
         for cadence in (0, 1, 5):
             run = train_run(dataset, _tiny_config(
-                checkpoint_every=cadence), jobs=1,
+                checkpoint_every=cadence),
                 checkpoint_dir=str(tmp_path / f"ck-{cadence}"))
             assert run.weights_sha256 == reference.weights_sha256
             assert run.losses == reference.losses
@@ -141,53 +131,21 @@ class TestDeterminism:
     def test_stop_and_resume_byte_identical(self, dataset, reference,
                                             tmp_path, stop_at):
         ckpt = str(tmp_path / f"ck-{stop_at}")
-        partial = train_run(dataset, _tiny_config(), jobs=1,
+        partial = train_run(dataset, _tiny_config(),
                             checkpoint_dir=ckpt,
                             stop_after_steps=stop_at)
         assert not partial.completed and partial.steps == stop_at
-        resumed = train_run(dataset, _tiny_config(), jobs=2,
-                            use_threads=True, checkpoint_dir=ckpt)
+        resumed = train_run(dataset, _tiny_config(), checkpoint_dir=ckpt)
         assert resumed.resumed_steps == stop_at
         assert resumed.weights_sha256 == reference.weights_sha256
         assert resumed.losses == reference.losses
         assert resumed.val_losses == reference.val_losses
 
-    def test_procs_stop_resume_with_resident_lanes(self, dataset,
-                                                   reference, tmp_path):
-        """Interrupt a process-pool run mid-schedule and resume it with
-        process lanes again — the resident replicas rebuild from the
-        checkpoint and the pending-delta replay neither loses nor
-        double-applies a step."""
-        ckpt = str(tmp_path / "ck-procs")
-        partial = train_run(dataset, _tiny_config(), jobs=2,
-                            checkpoint_dir=ckpt, stop_after_steps=3)
-        assert not partial.completed and partial.steps == 3
-        assert partial.transport in ("shm", "pickle")
-        resumed = train_run(dataset, _tiny_config(), jobs=2,
-                            checkpoint_dir=ckpt)
-        assert resumed.resumed_steps == 3
-        assert resumed.weights_sha256 == reference.weights_sha256
-        assert resumed.losses == reference.losses
-        assert resumed.val_losses == reference.val_losses
-
-    def test_replica_digest_handshake_every_step(self, dataset,
-                                                 reference):
-        """digest_every=1 verifies replica state against the parent
-        after every lane step; any divergence would raise inside
-        train_run, so completing with checks recorded is the proof."""
-        run = train_run(dataset, _tiny_config(), jobs=2,
-                        use_threads=True, digest_every=1)
-        assert run.transport == "local"
-        assert run.replica_checks > 1       # init ack + per-step checks
-        assert run.weights_sha256 == reference.weights_sha256
-
     def test_finished_run_resumes_instantly(self, dataset, reference,
                                             tmp_path):
         ckpt = str(tmp_path / "ck-done")
-        first = train_run(dataset, _tiny_config(), jobs=1,
-                          checkpoint_dir=ckpt)
-        again = train_run(dataset, _tiny_config(), jobs=1,
-                          checkpoint_dir=ckpt)
+        first = train_run(dataset, _tiny_config(), checkpoint_dir=ckpt)
+        again = train_run(dataset, _tiny_config(), checkpoint_dir=ckpt)
         assert again.resumed_steps == first.steps
         assert again.weights_sha256 == reference.weights_sha256
         assert again.val_losses == reference.val_losses
@@ -200,22 +158,21 @@ class TestDeterminism:
         every = 4
         assert reference.steps % every == 0
         run = train_run(dataset, _tiny_config(checkpoint_every=every),
-                        jobs=1, checkpoint_dir=str(tmp_path / "ck"))
+                        checkpoint_dir=str(tmp_path / "ck"))
         assert run.steps == reference.steps
         assert run.checkpoints_written == -(-run.steps // every)
         assert run.weights_sha256 == reference.weights_sha256
 
     def test_config_change_discards_checkpoints(self, dataset, tmp_path):
         ckpt = str(tmp_path / "ck")
-        train_run(dataset, _tiny_config(), jobs=1, checkpoint_dir=ckpt,
+        train_run(dataset, _tiny_config(), checkpoint_dir=ckpt,
                   stop_after_steps=2)
-        run = train_run(dataset, _tiny_config(lr=1e-2), jobs=1,
+        run = train_run(dataset, _tiny_config(lr=1e-2),
                         checkpoint_dir=ckpt)
         assert run.resumed_steps == 0   # incompatible fingerprint
 
     def test_artifact_is_pure_in_run(self, dataset, reference):
-        again = train_run(dataset, _tiny_config(), jobs=2,
-                          use_threads=True)
+        again = train_run(dataset, _tiny_config())
         first = build_artifact("tiny", reference, dataset)
         second = build_artifact("tiny", again, dataset)
         assert json.dumps(first, sort_keys=True) == \
@@ -225,32 +182,28 @@ class TestDeterminism:
 
 
 # --------------------------------------------------------------------------
-# Hypothesis: one property over jobs × shard counts × interruption
+# Hypothesis: one property over geometry × cadence × interruption
 # --------------------------------------------------------------------------
 
 @settings(max_examples=6, **_SETTINGS)
 @given(batch_size=st.integers(min_value=2, max_value=5),
        micro_batch=st.integers(min_value=1, max_value=3),
-       jobs=st.integers(min_value=1, max_value=3),
-       use_threads=st.booleans(),
        stop_at=st.integers(min_value=1, max_value=4),
        cadence=st.integers(min_value=1, max_value=3))
 def test_property_resume_matches_uninterrupted(tmp_path_factory,
                                                batch_size, micro_batch,
-                                               jobs, use_threads,
                                                stop_at, cadence):
-    """Interrupted-at-any-checkpoint + resumed-with-any-jobs equals an
-    uninterrupted jobs=1 run, for arbitrary batch geometry."""
+    """Interrupted-at-any-checkpoint + resumed equals an uninterrupted
+    run, for arbitrary batch geometry and checkpoint cadence."""
     dataset = _synthetic_dataset(16)
     config = _tiny_config(epochs=1, batch_size=batch_size,
                           micro_batch=micro_batch, max_records=16,
                           checkpoint_every=cadence)
-    reference = train_run(dataset, config, jobs=1)
+    reference = train_run(dataset, config)
     ckpt = str(tmp_path_factory.mktemp("ck"))
-    train_run(dataset, config, jobs=1, checkpoint_dir=ckpt,
+    train_run(dataset, config, checkpoint_dir=ckpt,
               stop_after_steps=stop_at)
-    resumed = train_run(dataset, config, jobs=jobs,
-                        use_threads=use_threads, checkpoint_dir=ckpt)
+    resumed = train_run(dataset, config, checkpoint_dir=ckpt)
     assert resumed.weights_sha256 == reference.weights_sha256
     assert resumed.losses == reference.losses
     assert resumed.val_losses == reference.val_losses
@@ -262,7 +215,7 @@ def test_property_resume_matches_uninterrupted(tmp_path_factory,
 
 def _train_cli(corpus: str, ckpt: str, cache: str, report: str,
                crash_after: int | None = None,
-               crash_mode: str | None = None, jobs: int = 1):
+               crash_mode: str | None = None, cwd: str = REPO):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop(CRASH_AFTER_ENV, None)
@@ -274,18 +227,14 @@ def _train_cli(corpus: str, ckpt: str, cache: str, report: str,
         [sys.executable, "-m", "repro", "train", corpus,
          "--cache-dir", cache, "--checkpoint-dir", ckpt,
          "--report-out", report, "--epochs", "2", "--batch-size", "4",
-         "--micro-batch", "2", "--seq-len", "24", "--vocab-size", "128",
+         "--seq-len", "24", "--vocab-size", "128",
          "--d-model", "16", "--n-heads", "2", "--n-layers", "1",
          "--d-ff", "32", "--max-records", "24",
-         "--checkpoint-every", "1",
-         # Hermetic: a work/tune.json on this machine must not steer
-         # the crash tests' pool choice.
-         "--jobs", str(jobs), "--no-tuned"],
-        env=env, cwd=REPO, capture_output=True, text=True)
+         "--checkpoint-every", "1"],
+        env=env, cwd=cwd, capture_output=True, text=True)
 
 
-def _sigkill_round(tmp_path, crash_after: int, crash_mode: str,
-                   jobs: int = 1) -> None:
+def _sigkill_round(tmp_path, crash_after: int, crash_mode: str) -> None:
     corpus = _corpus(tmp_path)
     cache = str(tmp_path / "cache")
     ref_report = str(tmp_path / "ref.json")
@@ -296,14 +245,13 @@ def _sigkill_round(tmp_path, crash_after: int, crash_mode: str,
     ckpt = str(tmp_path / f"ck-{crash_mode}-{crash_after}")
     report = str(tmp_path / f"report-{crash_mode}-{crash_after}.json")
     killed = _train_cli(corpus, ckpt, cache, report,
-                        crash_after=crash_after, crash_mode=crash_mode,
-                        jobs=jobs)
+                        crash_after=crash_after, crash_mode=crash_mode)
     if killed.returncode == 0:
         pass        # crash point beyond this run's checkpoint traffic
     else:
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         assert not os.path.exists(report)
-        resumed = _train_cli(corpus, ckpt, cache, report, jobs=jobs)
+        resumed = _train_cli(corpus, ckpt, cache, report)
         assert resumed.returncode == 0, resumed.stdout + resumed.stderr
 
     with open(ref_report, encoding="utf-8") as handle:
@@ -325,13 +273,32 @@ class TestSigkillResume:
         names the previous checkpoint — resume replays the gap."""
         _sigkill_round(tmp_path, 3, "early")
 
-    @pytest.mark.parametrize("crash_mode", ["kill", "early"])
-    def test_sigkill_with_resident_process_lanes(self, tmp_path,
-                                                 crash_mode):
-        """SIGKILL takes down the parent *and* its resident workers
-        mid-run; resume rebuilds the lanes from the checkpoint with no
-        optimizer delta lost or double-applied."""
-        _sigkill_round(tmp_path, 2, crash_mode, jobs=2)
+
+def test_cli_report_ignores_working_directory_files(tmp_path):
+    """``repro train`` output depends on its arguments alone: a
+    ``work/tune.json`` in the working directory (the file the retired
+    autotuner wrote, here asking for ``micro_batch: 1``) changes
+    nothing."""
+    corpus = _corpus(tmp_path)
+    cache = str(tmp_path / "cache")
+    clean = str(tmp_path / "clean.json")
+    done = _train_cli(corpus, str(tmp_path / "ck-clean"), cache, clean)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+    host = tmp_path / "host"
+    (host / "work").mkdir(parents=True)
+    (host / "work" / "tune.json").write_text(json.dumps(
+        {"version": 1, "config": {"jobs": 1, "pool": None,
+                                  "micro_batch": 1,
+                                  "checkpoint_every": 4}}))
+    steered = str(tmp_path / "steered.json")
+    done = _train_cli(corpus, str(tmp_path / "ck-steered"), cache,
+                      steered, cwd=str(host))
+    assert done.returncode == 0, done.stdout + done.stderr
+    with open(clean, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    with open(steered, encoding="utf-8") as handle:
+        assert json.load(handle) == expected
 
 
 @pytest.mark.tier2
@@ -343,10 +310,9 @@ class TestSigkillResumeRandomized:
 
     @pytest.mark.parametrize("crash_after", POINTS)
     @pytest.mark.parametrize("crash_mode", ["kill", "early"])
-    @pytest.mark.parametrize("jobs", [1, 2])
     def test_randomized_crash_points(self, tmp_path, crash_after,
-                                     crash_mode, jobs):
-        _sigkill_round(tmp_path, crash_after, crash_mode, jobs=jobs)
+                                     crash_mode):
+        _sigkill_round(tmp_path, crash_after, crash_mode)
 
 
 # --------------------------------------------------------------------------

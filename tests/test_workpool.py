@@ -1,12 +1,8 @@
 """Unit tests for the generic WorkPool layer (repro.scale.runner).
 
-Covers the persistent-executor sizing contract, completion callbacks
-under worker faults, clean close/reopen after faults, and the
-single-worker affinity lanes the resident trainer builds on.
+Covers serial in-process maps, and completion callbacks and error
+ordering under worker faults.
 """
-
-import os
-import threading
 
 import pytest
 
@@ -23,14 +19,6 @@ def _maybe_fail(value):
     return value * 10
 
 
-def _thread_ident(_value):
-    return threading.get_ident()
-
-
-def _worker_pid(_value):
-    return os.getpid()
-
-
 def test_serial_map_runs_inline_with_on_done():
     pool = WorkPool(jobs=1)
     seen = []
@@ -38,21 +26,6 @@ def test_serial_map_runs_inline_with_on_done():
                    on_done=lambda key, result: seen.append((key, result)))
     assert out == {"a": 2, "b": 4}
     assert seen == [("a", 2), ("b", 4)]
-
-
-def test_persistent_executor_sized_lazily_and_reused():
-    with WorkPool(jobs=4, use_threads=True) as pool:
-        pool.map(_double, {0: 0, 1: 1})
-        first = pool._executor
-        assert pool._executor_workers == 2    # min(jobs, width), not jobs
-        pool.map(_double, {0: 0, 1: 1})
-        assert pool._executor is first        # reused, not respawned
-        pool.map(_double, {index: index for index in range(6)})
-        assert pool._executor_workers == 4    # grew, capped at jobs
-        grown = pool._executor
-        pool.map(_double, {0: 0})
-        assert pool._executor is grown        # never shrinks
-    assert pool._executor is None
 
 
 def test_on_done_fires_for_successes_despite_sibling_fault():
@@ -69,76 +42,3 @@ def test_first_error_in_submission_order_wins():
     for _ in range(5):                        # completion order varies
         with pytest.raises(ValueError, match="bad item -7"):
             pool.map(_maybe_fail, {"a": -7, "b": -9, "c": 3})
-
-
-def test_close_after_fault_then_reuse():
-    pool = WorkPool(jobs=2, use_threads=True).open()
-    with pytest.raises(ValueError):
-        pool.map(_maybe_fail, {"boom": -1, "ok": 1})
-    pool.close()
-    assert pool._executor is None and pool._slots == []
-    # The pool object stays usable after close — fresh one-shot maps.
-    assert pool.map(_double, {"x": 3}) == {"x": 6}
-
-
-def test_ensure_slots_capped_at_jobs_and_additive():
-    pool = WorkPool(jobs=2, use_threads=True)
-    try:
-        assert pool.ensure_slots(5) == 2      # capped at jobs
-        assert len(pool._slots) == 2
-        first = list(pool._slots)
-        assert pool.ensure_slots(1) == 1      # never recycles lanes
-        assert pool._slots[:2] == first
-    finally:
-        pool.close()
-
-
-def test_slot_map_thread_affinity_across_rounds():
-    pool = WorkPool(jobs=2, use_threads=True)
-    try:
-        width = pool.ensure_slots(2)
-        rounds = [pool.slot_map(_thread_ident,
-                                {slot: None for slot in range(width)})
-                  for _ in range(3)]
-        for later in rounds[1:]:
-            assert later == rounds[0]         # slot s -> same thread
-        assert rounds[0][0] != rounds[0][1]   # distinct lanes
-    finally:
-        pool.close()
-
-
-def test_slot_map_process_affinity_across_rounds():
-    pool = WorkPool(jobs=2)
-    try:
-        width = pool.ensure_slots(2)
-        rounds = [pool.slot_map(_worker_pid,
-                                {slot: None for slot in range(width)})
-                  for _ in range(3)]
-        for later in rounds[1:]:
-            assert later == rounds[0]         # slot s -> same process
-        assert rounds[0][0] != rounds[0][1]
-    finally:
-        pool.close()
-
-
-def test_slot_map_rejects_unprovisioned_slot():
-    pool = WorkPool(jobs=4, use_threads=True)
-    try:
-        pool.ensure_slots(2)
-        with pytest.raises(ValueError, match="not provisioned"):
-            pool.slot_map(_double, {3: 1})
-    finally:
-        pool.close()
-
-
-def test_slot_map_lowest_slot_error_wins_and_lanes_survive():
-    pool = WorkPool(jobs=4, use_threads=True)
-    try:
-        pool.ensure_slots(3)
-        with pytest.raises(ValueError, match="bad item -1"):
-            pool.slot_map(_maybe_fail, {0: 1, 1: -1, 2: -2})
-        # Every lane finished its round; the pool is immediately usable.
-        assert pool.slot_map(_maybe_fail, {0: 1, 1: 2, 2: 3}) \
-            == {0: 10, 1: 20, 2: 30}
-    finally:
-        pool.close()
