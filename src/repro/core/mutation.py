@@ -11,6 +11,14 @@ Implements the paper's five targeted-error rules:
 Mutations are applied to the raw source text (located via lexer tokens) so
 the result can be arbitrarily broken; the paper caps the number of edits
 per module at five, which we honour via ``max_mutations``.
+
+One :meth:`Mutator.mutate` call may pick the same rule on several
+attempts.  The candidate lists of ``word_missing``, ``type_error`` and
+``logic_error`` depend on the text alone, so each is built once per call.
+``width_error`` and ``additional_word`` draw from the mutator's RNG while
+they build candidates, so they are rebuilt on every pick: building them
+once would shift the seeded stream, and with it every mutated file the
+augmentation dataset and the Table 3 repair benchmark are pinned to.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ _REMOVABLE_KEYWORDS = frozenset({
     "negedge", "assign", "wire", "reg", "input", "output", "case",
     "endcase", "always", "initial",
 })
+
+#: Rules whose candidate builders draw from ``Mutator.rng``.
+_RNG_DRAWING_RULES = frozenset({"width_error", "additional_word"})
 
 _NONSENSE_WORDS = ("foo", "bar_x", "qux", "tmp_wire", "blah", "zzz",
                    "misplaced", "stray")
@@ -79,7 +90,7 @@ class Mutator:
 
     # -- candidate collection per rule -----------------------------------
 
-    def _candidates_word_missing(self, spans: list[TokenSpan],
+    def _candidates_word_missing(self, spans: tuple[TokenSpan, ...],
                                  text: str) -> list[Edit]:
         out = []
         for span in spans:
@@ -96,7 +107,7 @@ class Mutator:
                                 f"removed operand '{token.value}'"))
         return out
 
-    def _candidates_type_error(self, spans: list[TokenSpan],
+    def _candidates_type_error(self, spans: tuple[TokenSpan, ...],
                                text: str) -> list[Edit]:
         out = []
         for span in spans:
@@ -108,7 +119,7 @@ class Mutator:
                                 "changed reg to wire"))
         return out
 
-    def _candidates_width_error(self, spans: list[TokenSpan],
+    def _candidates_width_error(self, spans: tuple[TokenSpan, ...],
                                 text: str) -> list[Edit]:
         out = []
         for pos in range(1, len(spans) - 1):
@@ -131,7 +142,7 @@ class Mutator:
                             f"{value + delta}"))
         return out
 
-    def _candidates_additional_word(self, spans: list[TokenSpan],
+    def _candidates_additional_word(self, spans: tuple[TokenSpan, ...],
                                     text: str) -> list[Edit]:
         out = []
         for span in spans:
@@ -142,7 +153,7 @@ class Mutator:
                             f"inserted nonsense word '{word}'"))
         return out
 
-    def _candidates_logic_error(self, spans: list[TokenSpan],
+    def _candidates_logic_error(self, spans: tuple[TokenSpan, ...],
                                 text: str) -> list[Edit]:
         """Remove an ``if (cond)`` header, leaving the branch unguarded."""
         out = []
@@ -190,12 +201,18 @@ class Mutator:
         applied: list[AppliedMutation] = []
         rule_pool = [rule] if rule else list(self.rules)
         spans = token_spans(text)
+        built: dict[str, list[Edit]] = {}
         attempts = 0
         while len(chosen) < count and attempts < count * 8:
             attempts += 1
             picked_rule = self.rng.choice(rule_pool)
-            rule_candidates = getattr(self, f"_candidates_{picked_rule}")
-            candidates = [c for c in rule_candidates(spans, text)
+            rule_candidates = built.get(picked_rule)
+            if rule_candidates is None:
+                rule_candidates = getattr(
+                    self, f"_candidates_{picked_rule}")(spans, text)
+                if picked_rule not in _RNG_DRAWING_RULES:
+                    built[picked_rule] = rule_candidates
+            candidates = [c for c in rule_candidates
                           if not _overlaps(c, chosen)]
             if not candidates:
                 continue

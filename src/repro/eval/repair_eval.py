@@ -23,7 +23,7 @@ from ..bench.problems import Problem
 from ..checker import yosys_feedback
 from ..core.mutation import Mutator
 from ..llm.behavioral import BehavioralModel
-from .verilog_eval import evaluate_candidate
+from .verilog_eval import evaluate_candidates
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ def evaluate_repair_cell(model: BehavioralModel, case: BrokenCase,
         problem_name=case.problem.name)
     syntax_errors = 0
     best = 0.0
-    for code in attempts:
-        outcome = evaluate_candidate(code, case.problem,
-                                     sim_backend=sim_backend)
+    for outcome in evaluate_candidates(attempts, case.problem,
+                                       sim_backend=sim_backend):
         if not outcome.syntax_ok:
             syntax_errors += 1
         best = max(best, outcome.pass_fraction)

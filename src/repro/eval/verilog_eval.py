@@ -23,7 +23,7 @@ from ..bench.problems import PROMPT_LEVELS, Problem
 from ..checker import check_source
 from ..llm.behavioral import BehavioralModel
 from ..scale.cache import LRUCache
-from ..sim import DEFAULT_BACKEND, run_testbench, run_testbench_batch
+from ..sim import DEFAULT_BACKEND, run_testbench_batch
 from .passk import pass_at_k
 
 
@@ -129,61 +129,48 @@ def _verdict_result(verdict) -> CandidateResult:
 
 def evaluate_candidate(code: str, problem: Problem,
                        sim_backend: str | None = None) -> CandidateResult:
-    """Syntax-check then simulate one candidate against the testbench.
-
-    ``sim_backend`` selects the simulator backend (compiled by default);
-    verdicts are backend-independent — the differential harness proves
-    it — but the backend is part of the memoisation key for honesty.
-    """
-    backend = sim_backend or DEFAULT_BACKEND
-    key = _candidate_key(code, problem, backend)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    check = check_source(code, f"./{problem.name}.v")
-    if not check.ok:
-        result = CandidateResult(syntax_ok=False, pass_fraction=0.0)
-    else:
-        verdict = run_testbench(code, problem.testbench, backend=backend)
-        result = _verdict_result(verdict)
-    _CACHE.put(key, result)
-    return result
+    """Syntax-check then simulate one candidate against the testbench."""
+    return evaluate_candidates([code], problem, sim_backend)[0]
 
 
 def evaluate_candidates(codes: list[str], problem: Problem,
                         sim_backend: str | None = None
                         ) -> list[CandidateResult]:
-    """Vectorized :func:`evaluate_candidate` over one shared testbench.
+    """Syntax-check then simulate candidates against one testbench.
 
-    Evaluation's dominant pattern — many sampled candidates × one
-    bench — routes through :func:`repro.sim.run_testbench_batch`, which
-    parses the testbench once and shares its module list across every
-    candidate elaboration.  Memoisation keys, verdicts and cache-digest
-    space are identical to per-candidate calls, so batched and serial
-    sweeps stay byte-identical.
+    Results come back in input order.  Each distinct code in the batch
+    is evaluated once, however often it repeats (a model that solves a
+    problem returns its reference on most samples), and a code whose
+    verdict is already in the in-memory cache is not evaluated at all.
+    Candidates that pass the checker go to
+    :func:`repro.sim.run_testbench_batch`, which parses the testbench
+    once for the whole batch.  ``sim_backend`` selects the simulator
+    backend (compiled by default); verdicts are backend-independent —
+    the differential harness proves it — but the backend is part of the
+    memoisation key for honesty.
     """
     backend = sim_backend or DEFAULT_BACKEND
-    results: dict[int, CandidateResult] = {}
-    to_sim: list[tuple[int, str]] = []
-    for pos, code in enumerate(codes):
-        cached = _CACHE.get(_candidate_key(code, problem, backend))
-        if cached is not None:
-            results[pos] = cached
-        elif not check_source(code, f"./{problem.name}.v").ok:
-            result = CandidateResult(syntax_ok=False, pass_fraction=0.0)
-            _CACHE.put(_candidate_key(code, problem, backend), result)
-            results[pos] = result
+    results: dict[str, CandidateResult] = {}
+    to_sim: list[str] = []
+    for code in dict.fromkeys(codes):
+        key = _candidate_key(code, problem, backend)
+        cached = _CACHE.get(key)
+        if cached is None and \
+                not check_source(code, f"./{problem.name}.v").ok:
+            cached = CandidateResult(syntax_ok=False, pass_fraction=0.0)
+            _CACHE.put(key, cached)
+        if cached is None:
+            to_sim.append(code)
         else:
-            to_sim.append((pos, code))
+            results[code] = cached
     if to_sim:
-        verdicts = run_testbench_batch([code for _, code in to_sim],
-                                       problem.testbench,
+        verdicts = run_testbench_batch(to_sim, problem.testbench,
                                        backend=backend)
-        for (pos, code), verdict in zip(to_sim, verdicts):
+        for code, verdict in zip(to_sim, verdicts):
             result = _verdict_result(verdict)
             _CACHE.put(_candidate_key(code, problem, backend), result)
-            results[pos] = result
-    return [results[pos] for pos in range(len(codes))]
+            results[code] = result
+    return [results[code] for code in codes]
 
 
 def evaluate_cell(model: BehavioralModel, problem: Problem, level: str,

@@ -21,6 +21,7 @@ augmented-dataset volume via a saturating scaling-law link.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -202,6 +203,14 @@ def _functional_edits(source: ast.SourceFile, rng: random.Random,
     return applied
 
 
+#: Distinct (text, seed, attempts, edits) keys kept by the corruption
+#: memo.  At this size the eval sweep hits it 83% of the time (1,042 of
+#: 1,250 calls, on 208 keys), as an unbounded memo would: a key's calls
+#: come from one (model, problem) and arrive together.
+FUNCTIONAL_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=FUNCTIONAL_MEMO_SIZE)
 def corrupt_functionally(text: str, seed: int, attempts: int = 5,
                          edits: int = 2) -> str:
     """A parse-clean but semantically wrong variant of ``text``.
@@ -210,6 +219,12 @@ def corrupt_functionally(text: str, seed: int, attempts: int = 5,
     rarely makes exactly one mistake); retries with derived seeds until
     the canonical form actually changes.  Returns the original text only
     for degenerate inputs.
+
+    The function is pure and returns a ``str``, so it is memoised: the
+    behavioural models pass one fixed seed per (model, problem), and
+    every unsolved sample at every prompt level asks the same question.
+    The edits land on a private parse of ``text``, never on a tree
+    anyone else holds.
     """
     try:
         canonical = unparse(parse(text))

@@ -66,6 +66,11 @@ class TestCorruption:
                 changed += 1
         assert changed >= 4
 
+    def test_memoised_functional_corruption_matches_direct_call(self):
+        for seed in range(32):
+            assert corrupt_functionally(REFERENCE, seed) == \
+                corrupt_functionally.__wrapped__(REFERENCE, seed)
+
     def test_syntax_corruption_breaks_checker(self):
         broken = 0
         for seed in range(8):

@@ -1,11 +1,24 @@
 """Tests for the mutation engine and repair-pair generation (Sec. 3.2)."""
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from repro.checker import check_source
 from repro.core import (MUTATION_RULES, Mutator, Task,
                         feedback_repair_records, make_broken_variant,
                         mutate, repair_records)
+from repro.core.textspan import token_spans
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+#: sha256 over 200 mutations of the golden designs (see
+#: ``test_mutation_stream_is_pinned``).  The augmentation dataset digest
+#: and the Table 3 repair benchmark both follow this stream.
+MUTATION_STREAM_SHA256 = \
+    "8cdbe7cd284524cd993f73cca4d1f2cd0a404563cb11a50aef0760475866b89d"
 
 COUNTER = """module counter (clk, rst, en, count);
   input clk, rst, en;
@@ -64,6 +77,28 @@ class TestMutationRules:
     def test_different_seeds_differ(self):
         outputs = {mutate(COUNTER, seed=s).mutated for s in range(8)}
         assert len(outputs) > 1
+
+    def test_mutation_stream_is_pinned(self):
+        designs = [path.read_text(encoding="utf-8")
+                   for path in sorted(GOLDEN_DIR.glob("*.v"))]
+        rules = (None,) + MUTATION_RULES
+        digest = hashlib.sha256()
+        for i in range(200):
+            count = None if i % 7 == 0 else 1 + i % 5
+            result = Mutator(seed=i).mutate(designs[i % len(designs)],
+                                            count=count,
+                                            rule=rules[i % len(rules)])
+            digest.update(json.dumps(
+                [result.mutated,
+                 [[a.rule, a.line, a.description]
+                  for a in result.applied]]).encode())
+        assert digest.hexdigest() == MUTATION_STREAM_SHA256
+
+    def test_token_spans_is_an_immutable_tuple(self):
+        spans = token_spans(COUNTER)
+        assert isinstance(spans, tuple)
+        assert spans is token_spans(COUNTER)
+        assert COUNTER[spans[0].start:spans[0].end] == "module"
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
