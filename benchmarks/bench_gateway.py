@@ -169,8 +169,7 @@ async def _stress_run(url: str) -> dict:
 
 def bench_stress(store: str) -> dict:
     """Concurrency-ramp stress: fixed request total, fixed clients."""
-    daemon = Daemon(store, workers=2, batch_limit=128,
-                    configure_sim_cache=False)
+    daemon = Daemon(store, workers=2, batch_limit=128)
     daemon.start()
     server = GatewayServer(
         daemon, config=GatewayConfig(max_queue_depth=512)).start()
@@ -189,8 +188,7 @@ def bench_cold_start(store: str) -> dict:
     writer._journal.close()     # hard stop: no snapshot, no compaction
 
     start = time.perf_counter()
-    daemon = Daemon(store, workers=2, batch_limit=64,
-                    configure_sim_cache=False)
+    daemon = Daemon(store, workers=2, batch_limit=64)
     replay_s = time.perf_counter() - start
     server = GatewayServer(daemon).start()
     ServeClient(server.url).health()

@@ -32,7 +32,7 @@ def _tb_source(index: int) -> str:
 
 
 def _run_daemon(store: str):
-    daemon = Daemon(store, workers=2, configure_sim_cache=False)
+    daemon = Daemon(store, workers=2)
     daemon.start()
     server = GatewayServer(daemon).start()
     return daemon, server, ServeClient(server.url)
@@ -76,7 +76,7 @@ def bench_cold_resume(store: str) -> dict:
     writer._journal.close()     # hard stop: no snapshot, no compaction
 
     start = time.perf_counter()
-    daemon = Daemon(store, workers=2, configure_sim_cache=False)
+    daemon = Daemon(store, workers=2)
     load_s = time.perf_counter() - start
     daemon.start()
     assert daemon.wait_idle(timeout=300)

@@ -354,16 +354,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _eval_engine(args: argparse.Namespace):
-    import os
-
     from .eval import EvalEngine
-    from .sim import configure_design_cache
-    if args.cache_dir:
-        # Attach the persistent compile-verdict layer next to the cell
-        # cache; forked workers inherit it, so they skip doomed compile
-        # attempts on warm re-runs.
-        configure_design_cache(
-            root=os.path.join(args.cache_dir, "sim-designs"))
     return EvalEngine(jobs=args.jobs, cache_dir=args.cache_dir)
 
 

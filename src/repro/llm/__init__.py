@@ -4,8 +4,9 @@ Two layers (see DESIGN.md substitution table):
 
 * **real models** — :class:`Tokenizer`, :class:`NGramModel` and
   :class:`TinyTransformerLM` (+ LoRA) trained by actual counting /
-  gradient descent on augmented datasets; they power the Fig. 3 scaling
-  law and the Fig. 7 ablation.
+  gradient descent on augmented datasets.  The n-gram model powers the
+  Fig. 3 scaling law and the Fig. 7 ablation; the transformer is what
+  :mod:`repro.train` finetunes and :mod:`repro.infer` decodes.
 * **behavioural models** — calibrated per-model generation policies used
   to regenerate the pass-rate tables, honestly evaluated by the checker,
   simulator and EDA flow.
@@ -17,9 +18,6 @@ from .behavioral import (LEVEL_BONUS, PROFILES, BehavioralModel,
 from .lora import LoRAAdapter, attach_lora, count_lora_params, detach_lora, merge_lora
 from .ngram import NGramModel
 from .oracle import DescriptionOracle
-from .progressive import (STAGE1_TASKS, STAGE2_TASKS,
-                          ProgressiveResult, progressive_stages,
-                          train_progressive)
 from .registry import (TABLE3_MODEL_ORDER, TABLE4_MODEL_ORDER,
                        TABLE5_MODEL_ORDER, available_models, get_model,
                        get_profile, profile_from_dict, register_artifact,
@@ -27,21 +25,17 @@ from .registry import (TABLE3_MODEL_ORDER, TABLE4_MODEL_ORDER,
                        unregister_profile)
 from .tiny_transformer import (Adam, TinyTransformerLM, TransformerConfig)
 from .tokenizer import Tokenizer, pretokenize
-from .trainer import (TrainResult, TransformerTrainConfig, record_to_text,
-                      records_to_text, scaling_curve, split_dataset,
-                      train_ngram, train_transformer)
+from .trainer import (TrainResult, record_to_text, records_to_text,
+                      scaling_curve, split_dataset, train_ngram)
 
 __all__ = [
     "Tokenizer", "pretokenize", "NGramModel",
     "TinyTransformerLM", "TransformerConfig", "Adam",
     "LoRAAdapter", "attach_lora", "merge_lora", "detach_lora",
     "count_lora_params",
-    "train_ngram", "train_transformer", "scaling_curve", "split_dataset",
-    "TrainResult", "TransformerTrainConfig", "record_to_text",
-    "records_to_text",
+    "train_ngram", "scaling_curve", "split_dataset", "TrainResult",
+    "record_to_text", "records_to_text",
     "DescriptionOracle",
-    "progressive_stages", "train_progressive", "ProgressiveResult",
-    "STAGE1_TASKS", "STAGE2_TASKS",
     "BehavioralModel", "ModelProfile", "ScriptSkill", "PROFILES",
     "LEVEL_BONUS", "corrupt_functionally", "corrupt_syntax",
     "derived_solve_rate",

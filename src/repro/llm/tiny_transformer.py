@@ -1,9 +1,10 @@
 """A small decoder-only transformer in pure numpy, with manual backprop.
 
 This is the repo's stand-in for Llama-2: a *genuinely trainable* causal LM
-used to demonstrate the paper's data-side claims with real gradient
-descent — the Fig. 3 scaling law (loss falls as augmented data grows) and
-the Fig. 7 ablation (aligned data beats completion-only at equal size).
+that :class:`repro.train.TrainerService` finetunes on augmented data and
+:mod:`repro.infer` decodes from.  (The Fig. 3 scaling law and the Fig. 7
+ablation are defined on the faster n-gram model,
+:func:`repro.llm.trainer.train_ngram`.)
 
 Architecture: token + positional embeddings → N pre-LN blocks (causal
 multi-head attention, ReLU MLP) → LN → output projection.  LoRA adapters
@@ -126,7 +127,7 @@ class CausalSelfAttention:
     def __init__(self, rng: np.random.Generator, d_model: int,
                  n_heads: int):
         if d_model % n_heads:
-            raise ValueError("d_model must divide n_heads")
+            raise ValueError("n_heads must divide d_model")
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
         self.q_proj = Linear(rng, d_model, d_model)

@@ -1,22 +1,21 @@
-"""Training loops connecting the augmentation datasets to the real LMs.
+"""Dataset serialisation and the n-gram training path.
 
 * ``records_to_text`` serialises instruction records the way the paper's
   finetuning does (instruct + input + output in one context window);
-* ``train_ngram`` / ``train_transformer`` fit the two real models;
-* ``scaling_curve`` reproduces Fig. 3's loss-vs-data-size trend;
-* ``TrainResult.final_loss`` is the quantity the ablation (Fig. 7) and
-  scaling experiments compare.
+* ``split_dataset`` is the deterministic train/validation split;
+* ``train_ngram`` fits the n-gram model, the fast stand-in the Fig. 3
+  scaling law (``scaling_curve``) and the Fig. 7 ablation are defined on;
+  ``TrainResult.final_loss`` is the quantity they compare.
+
+The transformer is trained by :class:`repro.train.TrainerService`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.records import Dataset, Record
 from .ngram import NGramModel
-from .tiny_transformer import Adam, TinyTransformerLM, TransformerConfig
 from .tokenizer import Tokenizer
 
 
@@ -43,17 +42,14 @@ def split_dataset(dataset: Dataset, val_fraction: float = 0.1,
 
 @dataclass
 class TrainResult:
-    """Loss trajectory of one training run."""
+    """Validation loss of one n-gram fit."""
 
-    losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     trained_tokens: int = 0
 
     @property
     def final_loss(self) -> float:
-        if self.val_losses:
-            return self.val_losses[-1]
-        return self.losses[-1] if self.losses else float("inf")
+        return self.val_losses[-1] if self.val_losses else float("inf")
 
 
 # --------------------------------------------------------------------------
@@ -75,83 +71,6 @@ def train_ngram(train_set: Dataset, val_set: Dataset,
     result = TrainResult(trained_tokens=model.trained_tokens)
     result.val_losses.append(model.cross_entropy(val_sequences))
     return model, result, tokenizer
-
-
-# --------------------------------------------------------------------------
-# transformer path (slower — quickstart/example scale)
-# --------------------------------------------------------------------------
-
-@dataclass
-class TransformerTrainConfig:
-    epochs: int = 3
-    batch_size: int = 8
-    seq_len: int = 64
-    lr: float = 3e-3
-    seed: int = 0
-    max_batches_per_epoch: int | None = None
-
-
-def _batches(sequences: list[list[int]], pad_id: int, seq_len: int,
-             batch_size: int, seed: int):
-    """Yield (ids, targets) next-token batches; targets −1 where padded."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(sequences))
-    batch_ids, batch_targets = [], []
-    for index in order:
-        sequence = sequences[index][:seq_len + 1]
-        if len(sequence) < 2:
-            continue
-        ids = sequence[:-1]
-        targets = sequence[1:]
-        pad = seq_len - len(ids)
-        batch_ids.append(ids + [pad_id] * pad)
-        batch_targets.append(targets + [-1] * pad)
-        if len(batch_ids) == batch_size:
-            yield np.array(batch_ids), np.array(batch_targets)
-            batch_ids, batch_targets = [], []
-    if batch_ids:
-        yield np.array(batch_ids), np.array(batch_targets)
-
-
-def train_transformer(model: TinyTransformerLM, train_set: Dataset,
-                      val_set: Dataset, tokenizer: Tokenizer,
-                      config: TransformerTrainConfig | None = None
-                      ) -> TrainResult:
-    """Gradient-descent finetuning (full or LoRA, per model's freeze state)."""
-    config = config or TransformerTrainConfig()
-    optimizer = Adam(model.params(), lr=config.lr)
-    train_sequences = [tokenizer.encode(text, add_special=True)
-                       for text in records_to_text(train_set)]
-    val_sequences = [tokenizer.encode(text, add_special=True)
-                     for text in records_to_text(val_set)]
-    result = TrainResult(
-        trained_tokens=sum(len(s) for s in train_sequences))
-    for epoch in range(config.epochs):
-        batch_count = 0
-        for ids, targets in _batches(train_sequences, tokenizer.pad_id,
-                                     config.seq_len, config.batch_size,
-                                     config.seed + epoch):
-            optimizer.zero_grad()
-            loss = model.loss_and_backward(ids, targets)
-            optimizer.step()
-            result.losses.append(loss)
-            batch_count += 1
-            if config.max_batches_per_epoch is not None and \
-                    batch_count >= config.max_batches_per_epoch:
-                break
-        result.val_losses.append(
-            evaluate_transformer(model, val_sequences, tokenizer.pad_id,
-                                 config.seq_len))
-    return result
-
-
-def evaluate_transformer(model: TinyTransformerLM,
-                         sequences: list[list[int]], pad_id: int,
-                         seq_len: int) -> float:
-    losses = []
-    for ids, targets in _batches(sequences, pad_id, seq_len, 8, seed=0):
-        losses.append(model.evaluate_loss(ids, targets))
-    return float(np.mean(losses)) if losses else float("inf")
 
 
 # --------------------------------------------------------------------------

@@ -292,8 +292,7 @@ _GATEWAY_JOBS = 80
 
 def _ops_gateway_floor(ctx: ScenarioContext) -> dict:
     from ..serve import Daemon, GatewayServer, ServeClient
-    daemon = Daemon(ctx.workdir("store"), workers=2,
-                    configure_sim_cache=False)
+    daemon = Daemon(ctx.workdir("store"), workers=2)
     server = GatewayServer(daemon).start()
     daemon.start()
     try:

@@ -88,8 +88,7 @@ def run_flow_daemon(flow: dict, store_dir: str, *,
     from ..flow import run_flow
     from ..serve import Daemon, GatewayServer, ServeClient
 
-    daemon = Daemon(store_dir, workers=workers, engine_jobs=engine_jobs,
-                    configure_sim_cache=False)
+    daemon = Daemon(store_dir, workers=workers, engine_jobs=engine_jobs)
     daemon.start()
     server = GatewayServer(daemon).start()
     try:

@@ -58,20 +58,13 @@ class Daemon:
 
     def __init__(self, store_dir: str, budgets: dict[str, int] | None = None,
                  engine_jobs: int = 1, workers: int = 2,
-                 batch_limit: int = DEFAULT_BATCH_LIMIT,
-                 configure_sim_cache: bool = True):
+                 batch_limit: int = DEFAULT_BATCH_LIMIT):
         from ..sim import BackendStats
         self.store_dir = store_dir
         self.work_dir = os.path.join(store_dir, "work")
         self.engine_jobs = max(1, engine_jobs)
         self.workers = max(1, workers)
         os.makedirs(self.work_dir, exist_ok=True)
-        if configure_sim_cache:
-            # Persist compile verdicts next to the job caches so warm
-            # restarts skip doomed compile attempts (PR 3 layer).
-            from ..sim import configure_design_cache
-            configure_design_cache(
-                root=os.path.join(self.work_dir, "sim-designs"))
         self.store = JobStore(store_dir)
         self.scheduler = Scheduler(budgets=budgets,
                                    batch_limit=batch_limit,

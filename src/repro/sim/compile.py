@@ -29,13 +29,9 @@ fallback is counted in :func:`backend_stats`.  This is the simulator's
 only fast backend: the interpreter stays as reference oracle and
 fallback.
 
-Compiled designs are cached in a content-keyed
+Compiled designs are cached in a content-keyed, in-memory
 :class:`CompiledDesignCache` (key = source digest +
-:data:`SIM_COMPILE_VERSION`).  Closures cannot be persisted, so the
-cache is two-layered: an in-memory LRU holds the compiled artefacts,
-while an optional :class:`~repro.scale.cache.ManifestCache`-backed layer
-persists *unsupported* verdicts (+ fallback reason) so warm worker
-processes skip doomed compile attempts without re-parsing.
+:data:`SIM_COMPILE_VERSION`).
 """
 
 from __future__ import annotations
@@ -44,11 +40,9 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 import heapq
-import json
-import sys
 import threading
 
-from ..scale.cache import LRUCache, ManifestCache
+from ..scale.cache import LRUCache
 from ..verilog import ast
 from ..verilog.errors import VerilogError
 from . import values as V
@@ -57,7 +51,7 @@ from .engine import SimulationError, SimulationTimeout, Simulator, _Finish
 from .format import parse_template, render_spec, scope_name
 
 #: Bump when lowering rules or runtime semantics change; invalidates
-#: every cached compile verdict and in-memory artefact.
+#: every cached compiled artefact.
 SIM_COMPILE_VERSION = 1
 
 _case_match = Simulator._case_match
@@ -2073,113 +2067,26 @@ def source_digest(source_text: str, top: str | None) -> str:
     return hasher.hexdigest()
 
 
-def _cache_fingerprint() -> str:
-    # Fold in the Python major.minor: an "unsupported" verdict can flip
-    # when the lowerer runs on a newer Python.
-    pyv = f"{sys.version_info[0]}.{sys.version_info[1]}"
-    return hashlib.sha256(
-        f"repro.sim.compile\x1f{SIM_COMPILE_VERSION}\x1f{pyv}"
-        .encode()).hexdigest()
-
-
-class _CompileMetaCache(ManifestCache):
-    """Persistent compile-verdict layer (ManifestCache of JSON blobs).
-
-    Closures cannot cross a process boundary or survive a restart, so
-    the only verdict worth persisting is *unsupported* (+ reason): warm
-    workers then skip doomed compile attempts without re-parsing the
-    source.  A "supported" verdict would save nothing — the design
-    must be parsed and lowered again regardless — so none is written,
-    which keeps a sweep over thousands of one-shot candidates from
-    churning entry files.
-    """
-
-    version = SIM_COMPILE_VERSION
-    subdir = "designs"
-    file_prefix = "design-"
-    file_suffix = ".json"
-
-    def _encode(self, payload: dict) -> str:
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True) \
-            + "\n"
-
-    def _decode(self, text: str) -> dict:
-        blob = json.loads(text)
-        if not isinstance(blob, dict) or "supported" not in blob:
-            raise ValueError("unrecognised compile-verdict blob")
-        return blob
-
-    def flush(self) -> None:
-        # Concurrent pool workers each hold a partial in-memory view, so
-        # a plain whole-manifest rewrite would drop the other workers'
-        # entries.  Entries are content-addressed and idempotent, so
-        # merging the on-disk index first makes the disjoint-digest case
-        # lossless (the residual read-modify-write race only costs a
-        # future recompute).
-        try:
-            with open(self._manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            manifest = None
-        if (manifest is not None
-                and manifest.get("version") == self.version
-                and manifest.get("fingerprint") == self.fingerprint):
-            for slot, entry in manifest.get(self.entries_field,
-                                            {}).items():
-                self._entries.setdefault(slot, entry)
-        super().flush()
-
-
 class CompiledDesignCache:
-    """Two-layer cache of compiled designs, keyed by source digest.
+    """In-memory LRU of :class:`CompiledDesign` artefacts, keyed by
+    source digest — the layer that makes ``repro evaluate`` compile each
+    testbench/reference pair once across models, levels and samples.
+    Closures cannot cross a process boundary, so nothing persists."""
 
-    * **in-memory**: an LRU of :class:`CompiledDesign` artefacts — the
-      layer that makes ``repro evaluate`` compile each
-      testbench/reference pair once across models, levels and samples;
-    * **persistent** (optional, ``root=``): a manifest-indexed store
-      of *unsupported* verdicts — the layer that lets a warm pool
-      worker skip a doomed compile attempt without re-parsing.
-      Entries whose key no longer matches (source edited,
-      :data:`SIM_COMPILE_VERSION` bumped, or the Python major.minor
-      changed) degrade to misses.
-    """
-
-    def __init__(self, maxsize: int = 256, root: str | None = None):
+    def __init__(self, maxsize: int = 256):
         self._lru: LRUCache[str, CompiledDesign] = LRUCache(maxsize)
-        self._meta = (_CompileMetaCache(root, _cache_fingerprint())
-                      if root else None)
 
     def get(self, digest: str) -> CompiledDesign | None:
         return self._lru.get(digest)
 
     def put(self, digest: str, compiled: CompiledDesign) -> None:
-        # In-memory only: a persisted "supported" verdict saves no work
-        # (the artefact must be re-lowered anyway), so the meta layer
-        # records unsupported verdicts exclusively.
         self._lru.put(digest, compiled)
 
-    def verdict(self, digest: str) -> dict | None:
-        """Persisted compile verdict for ``digest`` (or None)."""
-        if self._meta is None:
-            return None
-        return self._meta.lookup(digest[:16], digest)
 
-    def record_unsupported(self, digest: str, reason: str) -> None:
-        """Persist a fallback verdict (the only kind worth keeping)."""
-        if self._meta is not None:
-            self._meta.store(digest[:16], digest, {
-                "supported": False, "reason": reason, "top": None,
-                "stats": {}})
-            self._meta.flush()
-
-    def clear(self) -> None:
-        self._lru.clear()
-
-
-#: Process-wide default cache (in-memory only until configured).
-#: Guarded by ``_CACHE_LOCK``: daemon worker threads read it while any
-#: thread may call :func:`configure_design_cache` — the swap must be
-#: atomic, and each run binds the cache reference exactly once.
+#: Process-wide cache.  Guarded by ``_CACHE_LOCK``: daemon worker
+#: threads read it while any thread may call
+#: :func:`configure_design_cache` — the swap must be atomic, and each
+#: run binds the cache reference exactly once.
 _CACHE_LOCK = threading.Lock()
 _DESIGN_CACHE = CompiledDesignCache()
 
@@ -2189,14 +2096,13 @@ def design_cache() -> CompiledDesignCache:
         return _DESIGN_CACHE
 
 
-def configure_design_cache(maxsize: int = 256,
-                           root: str | None = None) -> CompiledDesignCache:
-    """Replace the process-wide cache (e.g. to attach a persistent
-    verdict layer under ``root``); returns the new cache.  The swap is
-    atomic under a module lock: in-flight ``run_simulation`` calls
-    bound the old cache once at entry and finish safely against it."""
+def configure_design_cache() -> CompiledDesignCache:
+    """Replace the process-wide cache with an empty one; returns it.
+    The swap is atomic under a module lock: in-flight
+    ``run_simulation`` calls bound the old cache once at entry and
+    finish safely against it."""
     global _DESIGN_CACHE
-    cache = CompiledDesignCache(maxsize=maxsize, root=root)
+    cache = CompiledDesignCache()
     with _CACHE_LOCK:
         _DESIGN_CACHE = cache
     return cache

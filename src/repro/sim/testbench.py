@@ -134,11 +134,6 @@ def _run_compiled(source_text: str, top: str | None, max_time: int,
     compiled = cache.get(digest)
     try:
         if compiled is None:
-            verdict = cache.verdict(digest)
-            if verdict is not None and not verdict.get("supported"):
-                stats.record_fallback(
-                    verdict.get("reason") or "unsupported construct")
-                return None
             source = tree if tree is not None else parse(source_text,
                                                          filename)
             top_name = top or find_top(source)
@@ -148,7 +143,6 @@ def _run_compiled(source_text: str, top: str | None, max_time: int,
         else:
             stats.cache_hits += 1
     except CompileUnsupported as exc:
-        cache.record_unsupported(digest, str(exc))
         stats.record_fallback(str(exc))
         return None
     except (VerilogError, SimulationError) as exc:

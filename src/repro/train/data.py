@@ -1,4 +1,5 @@
-"""Deterministic training data: shard-cache loading + epoch schedules.
+"""Deterministic training data: shard-cache loading, epoch schedules and
+the validation loss.
 
 **Corpus loading.** Training data comes from the same sharded,
 content-addressed augmentation layer the rest of the system uses:
@@ -13,10 +14,13 @@ listing, shard count or ``jobs``.
 ``(dataset digest, train config)``: the per-epoch permutation is seeded
 by :func:`stable_seed` (a content hash, mirroring
 ``repro.core.content_seed``), and :func:`epoch_plan` slices the
-permuted sequences into macro-steps of fixed micro-batches.  Micro-
-batch boundaries never depend on worker count, which is what lets the
-service reduce gradients in canonical micro-batch order and stay
-byte-identical across ``--jobs``.
+permuted sequences into macro-steps of fixed micro-batches.  The
+service reduces each step's micro-batch gradients in that fixed index
+order, so a resumed run replays bit-identical steps.
+
+**Validation.** :func:`evaluate_transformer` scores held-out sequences
+in fixed batches of 8 under a fixed permutation, so a run's
+``val_losses`` depend on the weights alone.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from ..core.pipeline import PipelineConfig
 from ..core.records import Dataset
+from ..llm.tiny_transformer import TinyTransformerLM
 from ..llm.tokenizer import Tokenizer
 from ..llm.trainer import records_to_text
 from ..scale.service import augment_distributed
@@ -107,8 +112,8 @@ def epoch_plan(sequences: list[list[int]], digest: str, seed: int,
     Sequences are permuted with a seed derived from
     ``(dataset digest, seed, epoch)``, sliced into macro-steps of
     ``batch_size`` and further into micro-batches of ``micro_batch``.
-    A pure function of its arguments — never of worker count — so the
-    reduction order over micro-batches is identical for any ``jobs``.
+    A pure function of its arguments, so a resumed run rebuilds exactly
+    the steps (and micro-batch reduction order) it left off in.
     """
     rng = np.random.default_rng(stable_seed("epoch", digest, seed, epoch))
     order = rng.permutation(len(sequences))
@@ -120,3 +125,19 @@ def epoch_plan(sequences: list[list[int]], digest: str, seed: int,
                   for m in range(0, len(macro), micro_batch)]
         plan.append(micros)
     return plan
+
+
+def evaluate_transformer(model: TinyTransformerLM,
+                         sequences: list[list[int]], pad_id: int,
+                         seq_len: int) -> float:
+    """Mean of per-batch mean losses over ``sequences`` (no gradients).
+
+    Batches of 8 under a ``default_rng(0)`` permutation; sequences
+    shorter than 2 tokens carry no target and are skipped.
+    """
+    order = np.random.default_rng(0).permutation(len(sequences))
+    usable = [sequences[i] for i in order if len(sequences[i]) >= 2]
+    losses = [model.evaluate_loss(*_pad_batch(usable[start:start + 8],
+                                              pad_id, seq_len))
+              for start in range(0, len(usable), 8)]
+    return float(np.mean(losses)) if losses else float("inf")

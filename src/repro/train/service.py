@@ -48,14 +48,12 @@ from ..core.records import Dataset
 from ..llm.tiny_transformer import Adam, TinyTransformerLM, \
     TransformerConfig
 from ..llm.tokenizer import Tokenizer
-from ..llm.trainer import evaluate_transformer, records_to_text, \
-    split_dataset
+from ..llm.trainer import records_to_text, split_dataset
 from .checkpoint import (TRAIN_FORMAT_VERSION, CheckpointStore,
                          state_digest)
-from .data import dataset_digest, encode_sequences, epoch_plan
+from .data import (dataset_digest, encode_sequences, epoch_plan,
+                   evaluate_transformer)
 from .weights import model_weights_bundle
-from .worker import FlatGrads, flat_microbatch_grads, model_state, \
-    set_model_state
 
 
 @dataclass
@@ -148,22 +146,66 @@ class TrainReport:
                 f"{self.weights_sha256[:12]}")
 
 
+def model_state(model: TinyTransformerLM) -> list[np.ndarray]:
+    """Copies of every parameter tensor, in canonical params() order."""
+    return [param.value.copy() for param in model.params()]
+
+
+def set_model_state(model: TinyTransformerLM,
+                    arrays: list[np.ndarray]) -> None:
+    """Load a :func:`model_state` snapshot (by copy) into ``model``."""
+    params = model.params()
+    if len(params) != len(arrays):
+        raise ValueError(f"state has {len(arrays)} tensors, model has "
+                         f"{len(params)}")
+    for param, array in zip(params, arrays):
+        if param.value.shape != array.shape:
+            raise ValueError(f"shape mismatch {array.shape} vs "
+                             f"{param.value.shape}")
+        param.value[...] = array
+
+
+class FlatGrads:
+    """Rebind every param's ``.grad`` to slices of one flat buffer.
+
+    Zeroing becomes a single vectorised store and a whole gradient
+    reads back as one contiguous vector.  The views alias exactly the
+    memory the backward pass accumulates into, so the arithmetic (and
+    therefore every loss/weight byte) is that of per-param gradients.
+    """
+
+    def __init__(self, model: TinyTransformerLM):
+        params = model.params()
+        self.size = int(sum(param.value.size for param in params))
+        self.flat = np.zeros(self.size)
+        offset = 0
+        for param in params:
+            end = offset + param.value.size
+            param.grad = self.flat[offset:end] \
+                .reshape(param.value.shape)
+            offset = end
+
+
 def _optimizer_step(model: TinyTransformerLM, optimizer: Adam,
                     grads: FlatGrads, acc: np.ndarray,
                     micros: list) -> float:
     """One optimizer step over one macro-batch's micro-batches.
 
-    Every ``param.grad`` is a view into ``grads.flat``
-    (:class:`~repro.train.worker.FlatGrads`), so each micro-batch is
-    zero-the-buffer → backward; ``acc += count * grad`` then reduces
-    them in canonical micro-batch index order, one divide lands the
+    Every ``param.grad`` is a view into ``grads.flat``, so each
+    micro-batch is zero-the-buffer → backward, which leaves the
+    micro-batch's mean gradient over its valid tokens.
+    ``acc += count * grad`` then reduces them in canonical micro-batch
+    index order (float addition is not associative, so that fixed order
+    is part of the determinism contract), one divide lands the
     token-weighted mean back in the flat buffer, and Adam steps.
     Returns the step's token-weighted mean loss.
     """
     acc[...] = 0.0
     loss_sum, total = 0.0, 0
     for ids, targets in micros:
-        loss, count = flat_microbatch_grads(model, grads, ids, targets)
+        grads.flat[...] = 0.0
+        loss = model.loss_and_backward(ids, targets)
+        count = int((targets >= 0).sum())
         loss_sum += loss * count
         total += count
         acc += count * grads.flat

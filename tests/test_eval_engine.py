@@ -13,6 +13,7 @@ from repro.eval import (EvalEngine, EvalTask, clear_cache,
 from repro.experiments import EXPERIMENTS, run_selected
 from repro.llm import get_model
 from repro.scale import LRUCache
+from repro.sim import configure_design_cache
 
 MODELS = ("ours-13b", "llama2-13b")
 
@@ -295,7 +296,10 @@ class TestBackendStatsAggregation:
     each worker's per-task deltas back through its result stream."""
 
     def _sweep(self, engine):
+        # Forked workers inherit both in-memory caches: start them empty
+        # so the workers really simulate and compile.
         clear_cache()
+        configure_design_cache()
         return evaluate_generation(_models(), _problems(2),
                                    levels=("low",), n_samples=2,
                                    engine=engine)

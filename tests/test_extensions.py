@@ -1,19 +1,15 @@
 """Tests for extension features: netlist writer, equivalence checking,
-VCD tracing, the agent loop, progressive training, and the CLI."""
+VCD tracing, the agent loop, the LoRA finetuning example, and the CLI."""
 
-import numpy as np
+import pathlib
+import runpy
+
 import pytest
 
 from repro.agent import AgentResult, ChipAgent
 from repro.bench import thakur_suite
 from repro.cli import main as cli_main
-from repro.core import AugmentationPipeline, PipelineConfig, Task
-from repro.corpus import generate_corpus
 from repro.eda import check_equivalence, netlist_to_verilog, synthesize
-from repro.llm import (STAGE1_TASKS, STAGE2_TASKS, TinyTransformerLM,
-                       Tokenizer, TransformerConfig,
-                       TransformerTrainConfig, progressive_stages,
-                       records_to_text, split_dataset, train_progressive)
 from repro.sim import run_simulation
 from repro.verilog import parse
 
@@ -177,36 +173,14 @@ class TestAgent:
         assert isinstance(result, AgentResult)
 
 
-class TestProgressiveTraining:
-    def _dataset(self):
-        corpus = generate_corpus(6, seed=2)
-        return AugmentationPipeline(PipelineConfig(
-            eda_scripts=False, statement_cap=4, token_cap=8,
-            max_tokens=160)).run(corpus).dataset
-
-    def test_stage_split_covers_tasks(self):
-        dataset = self._dataset()
-        stages = dict(progressive_stages(dataset))
-        stage1 = stages["stage1-completion"]
-        stage2 = stages["stage2-aligned"]
-        assert all(r.task in STAGE1_TASKS for r in stage1)
-        assert all(r.task in STAGE2_TASKS for r in stage2)
-        assert len(stage1) + len(stage2) == len(dataset)
-
-    def test_progressive_training_runs_both_stages(self):
-        dataset = self._dataset()
-        train, val = split_dataset(dataset, val_fraction=0.2)
-        tokenizer = Tokenizer.train(records_to_text(train),
-                                    vocab_size=512)
-        model = TinyTransformerLM(TransformerConfig(
-            vocab_size=len(tokenizer), d_model=16, n_heads=2,
-            n_layers=1, d_ff=32, max_len=64, seed=0))
-        result = train_progressive(
-            model, train, val, tokenizer,
-            TransformerTrainConfig(epochs=1, max_batches_per_epoch=5))
-        assert "stage1-completion" in result.stages
-        assert "stage2-aligned" in result.stages
-        assert np.isfinite(result.final_loss)
+class TestLoraFinetuneExample:
+    def test_example_trains_both_stages(self, capsys):
+        path = pathlib.Path(__file__).resolve().parents[1] / "examples" \
+            / "train_lora_finetune.py"
+        runpy.run_path(str(path))["main"]()
+        out = capsys.readouterr().out
+        assert "stage 1 (completion): val loss" in out
+        assert "LoRA finetuning reduced aligned-task loss: yes" in out
 
 
 class TestCLI:

@@ -64,8 +64,7 @@ def _corpus(root) -> str:
 def stack(tmp_path_factory):
     """One shared in-process daemon + gateway for the module."""
     root = tmp_path_factory.mktemp("flow-service")
-    daemon = Daemon(str(root / "store"), workers=2,
-                    configure_sim_cache=False)
+    daemon = Daemon(str(root / "store"), workers=2)
     daemon.start()
     server = GatewayServer(daemon).start()
     yield daemon, ServeClient(server.url), root
@@ -132,8 +131,7 @@ class TestDaemonFlow:
                                  engine_jobs=1)
         parallel = run_flow_direct(flow, str(tmp_path / "w2"),
                                    engine_jobs=2)
-        daemon = Daemon(str(tmp_path / "store"), workers=2,
-                        configure_sim_cache=False)
+        daemon = Daemon(str(tmp_path / "store"), workers=2)
         daemon.start()
         server = GatewayServer(daemon).start()
         try:
@@ -148,8 +146,7 @@ class TestDaemonFlow:
 class TestGatewayFlow:
     @pytest.fixture
     def gateway(self, tmp_path):
-        daemon = Daemon(str(tmp_path / "store"), workers=2,
-                        configure_sim_cache=False)
+        daemon = Daemon(str(tmp_path / "store"), workers=2)
         config = GatewayConfig(
             max_queue_depth=8,
             tenants={"small": TenantPolicy(name="small",

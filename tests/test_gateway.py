@@ -21,8 +21,7 @@ from test_serve_recovery import TB_PASS, _canonical
 @pytest.fixture
 def stack(tmp_path):
     """A daemon + gateway with tight, test-friendly admission knobs."""
-    daemon = Daemon(str(tmp_path / "store"), workers=2,
-                    configure_sim_cache=False)
+    daemon = Daemon(str(tmp_path / "store"), workers=2)
     daemon.start()
     config = GatewayConfig(
         max_queue_depth=4,

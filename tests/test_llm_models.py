@@ -144,6 +144,12 @@ class TestTransformer:
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 999), dtype=int))
 
+    def test_heads_must_divide_model_width(self):
+        with pytest.raises(ValueError, match="n_heads must divide d_model"):
+            TinyTransformerLM(TransformerConfig(
+                vocab_size=8, d_model=6, n_heads=4, n_layers=1, d_ff=8,
+                max_len=4, seed=0))
+
 
 class TestLoRA:
     def make_model(self):

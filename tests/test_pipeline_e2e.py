@@ -68,7 +68,7 @@ def _corpus(root) -> str:
 
 
 def _start_daemon(store: str):
-    daemon = Daemon(store, workers=2, configure_sim_cache=False)
+    daemon = Daemon(store, workers=2)
     daemon.start()
     server = GatewayServer(daemon).start()
     return daemon, server, ServeClient(server.url)

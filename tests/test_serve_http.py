@@ -22,8 +22,7 @@ MAX_BODY = 8192
 @pytest.fixture(params=["gateway"])
 def server(tmp_path):
     """(host, port) of a gateway with a strict tenant list."""
-    daemon = Daemon(str(tmp_path / "store"), workers=1,
-                    configure_sim_cache=False)
+    daemon = Daemon(str(tmp_path / "store"), workers=1)
     daemon.start()
     config = GatewayConfig(
         allow_unknown_tenants=False, max_body_bytes=MAX_BODY,

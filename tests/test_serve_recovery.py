@@ -238,7 +238,7 @@ class TestDaemonParity:
         direct = _DirectRuns(tmp_path / "ref")
         store = str(tmp_path / "store")
         corpus = _corpus(tmp_path)
-        daemon = Daemon(store, workers=2, configure_sim_cache=False)
+        daemon = Daemon(store, workers=2)
         daemon.start()
         server = GatewayServer(daemon).start()
         client = ServeClient(server.url)
@@ -266,8 +266,7 @@ class TestDaemonParity:
             daemon.stop()
 
     def test_http_error_paths(self, tmp_path):
-        daemon = Daemon(str(tmp_path / "store"), workers=1,
-                        configure_sim_cache=False)
+        daemon = Daemon(str(tmp_path / "store"), workers=1)
         daemon.start()
         server = GatewayServer(daemon).start()
         client = ServeClient(server.url)

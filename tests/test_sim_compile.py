@@ -2,13 +2,12 @@
 
 The *semantics* of the compiled backend are pinned by the differential
 fuzz harness and the golden-trace suite; this file covers the machinery
-around it: backend selection, the two-layer
+around it: backend selection, the in-memory
 :class:`~repro.sim.compile.CompiledDesignCache` and its atomic swap,
 fallback accounting, the multi-candidate batch API, and the
 ``sim_backend`` threading through the evaluation stack.
 """
 
-import os
 import threading
 
 import pytest
@@ -213,72 +212,6 @@ class TestCompiledDesignCache:
         cache.put("c", design)
         assert cache.get("a") is None      # evicted
         assert cache.get("c") is design
-
-    def test_persistent_verdicts(self, tmp_path):
-        root = str(tmp_path / "sim-cache")
-        configure_design_cache(root=root)
-        run_simulation(SIMPLE)
-        run_simulation(NEEDS_FALLBACK)
-        # Only the *unsupported* verdict persists: a "supported" entry
-        # would save nothing (the artefact must be re-lowered anyway)
-        # and would churn one file per evaluated candidate.
-        entries = os.listdir(os.path.join(root, "designs"))
-        assert len(entries) == 1
-        assert os.path.exists(os.path.join(root, "manifest.json"))
-
-        # A fresh cache (new process, in effect) reads the verdict:
-        # the unsupported design skips its doomed compile attempt.
-        configure_design_cache(root=root)
-        reset_backend_stats()
-        run_simulation(NEEDS_FALLBACK)
-        stats = backend_stats()
-        assert stats.fallbacks == 1
-        assert stats.compiles == 0
-        # The supported design lowers as usual.
-        run_simulation(SIMPLE)
-        assert backend_stats().compiles == 1
-
-    def test_verdict_flush_merges_concurrent_writers(self, tmp_path):
-        # Two cache instances sharing a root (stand-ins for two pool
-        # workers): the second flush must not clobber the first's
-        # verdict out of the manifest.
-        root = str(tmp_path / "sim-cache")
-        a = CompiledDesignCache(root=root)
-        b = CompiledDesignCache(root=root)
-        a.record_unsupported("a" * 64, "reason-a")
-        b.record_unsupported("b" * 64, "reason-b")
-        fresh = CompiledDesignCache(root=root)
-        assert fresh.verdict("a" * 64) is not None
-        assert fresh.verdict("b" * 64) is not None
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        root = str(tmp_path / "sim-cache")
-        configure_design_cache(root=root)
-        run_simulation(NEEDS_FALLBACK)
-        design_dir = os.path.join(root, "designs")
-        for name in os.listdir(design_dir):
-            with open(os.path.join(design_dir, name), "w") as fh:
-                fh.write("not json")
-        configure_design_cache(root=root)
-        reset_backend_stats()
-        run_simulation(NEEDS_FALLBACK)   # verdict unreadable: re-tries
-        assert backend_stats().fallbacks == 1
-
-    def test_verdict_layer_python_version_guard(self, tmp_path,
-                                                monkeypatch):
-        digest = source_digest(NEEDS_FALLBACK, None)
-        cache = configure_design_cache(root=str(tmp_path))
-        cache.record_unsupported(digest, "refused")
-        assert cache.verdict(digest)["reason"] == "refused"
-
-        class _FakeSys:
-            version_info = (0, 0, 0)
-
-        # An interpreter upgrade re-fingerprints the manifest: stale
-        # verdicts degrade to misses.
-        monkeypatch.setattr("repro.sim.compile.sys", _FakeSys)
-        upgraded = configure_design_cache(root=str(tmp_path))
-        assert upgraded.verdict(digest) is None
 
 
 class TestAtomicCacheSwap:
