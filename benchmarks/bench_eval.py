@@ -3,7 +3,9 @@
 Measures evaluated cells/sec at jobs=1 vs jobs=N and cold- vs warm-cache
 wall time over a generation sweep, then writes ``BENCH_eval.json`` at
 the repo root so the perf trajectory is tracked from PR to PR (the eval
-twin of ``bench_scale.py``).
+twin of ``bench_scale.py``).  Every timed run starts with empty
+in-process memos, so the serial run cannot warm the parallel one; the
+row stamps ``cpus``, since ``jobs`` is capped by it.
 """
 
 import json
@@ -11,8 +13,12 @@ import os
 import time
 
 from repro.bench import thakur_suite
+from repro.core.textspan import token_spans
 from repro.eval import EvalEngine, clear_cache, evaluate_generation
 from repro.llm import get_model
+from repro.llm.behavioral import corrupt_functionally
+from repro.sim import clear_memo
+from repro.verilog.lexer import _lex_memo
 
 MODELS = ("ours-13b", "gpt-3.5", "llama2-13b")
 LEVELS = ("low", "middle", "high")
@@ -25,7 +31,11 @@ RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 def _timed(engine):
     models = [get_model(name) for name in MODELS]
     problems = list(thakur_suite())
-    clear_cache()   # drop the in-memory layer so runs are comparable
+    # Drop every in-process memo so runs are comparable.
+    clear_cache()
+    clear_memo()
+    for memo in (_lex_memo, token_spans, corrupt_functionally):
+        memo.cache_clear()
     start = time.perf_counter()
     report = evaluate_generation(models, problems, levels=LEVELS,
                                  n_samples=N_SAMPLES, engine=engine)
@@ -65,8 +75,8 @@ def run_eval_sweep(cache_root: str) -> dict:
     }
 
 
-def test_eval_throughput_and_cache(once, benchmark, tmp_path):
-    result = once(run_eval_sweep, str(tmp_path))
+def test_eval_throughput_and_cache(once, benchmark, tmp_path, env_stamp):
+    result = dict(once(run_eval_sweep, str(tmp_path)), **env_stamp)
     benchmark.extra_info.update(result)
     with open(RESULT_PATH, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)

@@ -2,7 +2,8 @@
 
 Measures records/sec at jobs=1 vs jobs=N and cold- vs warm-cache wall
 time, then writes ``BENCH_scale.json`` at the repo root so the perf
-trajectory is tracked from PR to PR.
+trajectory is tracked from PR to PR.  The row stamps ``cpus``, since
+``jobs`` is capped by it.
 """
 
 import json
@@ -67,9 +68,9 @@ def run_scale_sweep(corpus_root: str, cache_root: str) -> dict:
     }
 
 
-def test_scale_throughput_and_cache(once, benchmark, tmp_path):
-    result = once(run_scale_sweep, str(tmp_path / "corpus"),
-                  str(tmp_path))
+def test_scale_throughput_and_cache(once, benchmark, tmp_path, env_stamp):
+    result = dict(once(run_scale_sweep, str(tmp_path / "corpus"),
+                       str(tmp_path)), **env_stamp)
     benchmark.extra_info.update(result)
     with open(RESULT_PATH, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)

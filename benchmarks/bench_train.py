@@ -21,14 +21,6 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_train.json")
 
 
-def _cpus() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def _dataset() -> Dataset:
     records = []
     for index in range(N_RECORDS):
@@ -88,17 +80,16 @@ def bench_cold_resume(dataset, root: str) -> dict:
 
 def run_train_bench(root: str) -> dict:
     dataset = _dataset()
-    result = {"records": len(dataset), "cpus": _cpus(),
-              "openblas_num_threads": os.environ.get(
-                  "OPENBLAS_NUM_THREADS")}
+    result = {"records": len(dataset)}
     result.update(bench_throughput(dataset))
     result.update(bench_checkpoint_overhead(dataset, root))
     result.update(bench_cold_resume(dataset, root))
     return result
 
 
-def test_train_throughput_and_resume(once, benchmark, tmp_path):
-    result = once(run_train_bench, str(tmp_path))
+def test_train_throughput_and_resume(once, benchmark, tmp_path,
+                                     env_stamp):
+    result = dict(once(run_train_bench, str(tmp_path)), **env_stamp)
     benchmark.extra_info.update(result)
     with open(RESULT_PATH, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)

@@ -16,8 +16,8 @@ Commands mirror the tool chain a user drives interactively:
   ``--checkpoint-dir``, writes a trained-model artefact (``--out``)
 * ``evaluate``  — run one benchmark suite on the shared evaluation
   engine (``--suite``, ``--models``, ``--jobs``, ``--cache-dir``,
-  ``--k``, ``--sim-backend compiled|interp``, ``--artifact`` to score
-  a trained model)
+  ``--k``, ``--artifact`` to score a trained model); testbench verdicts
+  come from the one event-driven simulator (``repro.sim``)
 * ``tables``    — regenerate the paper's tables/figures (``--only``
   computes just the requested ones; ``--jobs``/``--cache-dir`` reach
   Tables 3–5 through the engine)
@@ -62,8 +62,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .sim import run_simulation
     result = run_simulation(_read(args.file), top=args.top,
-                            trace=args.vcd is not None,
-                            backend=args.sim_backend)
+                            trace=args.vcd is not None)
     if not result.ok:
         print(result.error, file=sys.stderr)
         return 1
@@ -239,7 +238,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         models=args.models.split(",") if args.models else None,
         samples=args.samples, k=args.k,
         levels=args.levels.split(",") if args.levels else None,
-        sim_backend=args.sim_backend, priority=args.priority)
+        priority=args.priority)
     try:
         submitted = client.submit_flow(flow)
     except ServeError as exc:
@@ -386,15 +385,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         models=args.models.split(",") if args.models else None,
         samples=args.samples, k=args.k,
         levels=tuple(args.levels.split(",")) if args.levels else None,
-        seed=args.seed, engine=engine, sim_backend=args.sim_backend,
-        artifacts=artifacts)
+        seed=args.seed, engine=engine, artifacts=artifacts)
     print(result.rendered)
     print(f"-- {engine.stats.summary()}")
     # The engine aggregates each worker's thread-local counters back
     # through its result stream, so these totals are exact for any
     # --jobs setting (cached cells simply ran no simulations).
     stats = engine.sim_stats
-    if stats.compiled_runs or stats.interp_runs or stats.fallbacks:
+    if stats.interp_runs:
         print(f"-- {stats.summary()}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -553,7 +551,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 "samples": args.samples, "k": args.k,
                 "levels": args.levels.split(",") if args.levels
                 else None,
-                "seed": args.seed, "sim_backend": args.sim_backend}
+                "seed": args.seed}
     elif args.job_kind == "infer":
         spec = {"prompts": list(args.prompt),
                 "trained": {"name": args.trained_name,
@@ -565,7 +563,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         after = [args.train_job]
     elif args.job_kind == "simulate":
         spec = {"source": _read(args.file), "top": args.top,
-                "backend": args.sim_backend, "vcd": args.vcd}
+                "vcd": args.vcd}
     elif args.job_kind == "probe":
         try:
             payload = json.loads(args.payload) if args.payload else ""
@@ -646,8 +644,6 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .sim import BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ChipGPT-FT reproduction tool chain")
@@ -665,10 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--top")
     p.add_argument("--vcd", help="write VCD waveform to this path")
-    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                   help="simulator backend (default: compiled, with "
-                        "automatic fallback to the interpreter; "
-                        "'interp' runs the reference interpreter only)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("synth", help="gate-level synthesis report")
@@ -806,11 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(generation suites; default low,middle,high)")
     p.add_argument("--seed", type=int, default=0,
                    help="benchmark-construction seed (repair suite)")
-    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                   help="simulator backend for testbench verdicts "
-                        "(default: compiled, with automatic fallback "
-                        "to the interpreter; reports are byte-identical "
-                        "either way)")
     p.add_argument("--out", help="also write the report to this file")
     p.add_argument("--artifact", action="append",
                    help="trained-model artefact JSON (from `repro "
@@ -917,7 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--k", type=int, default=5)
     k.add_argument("--levels")
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--sim-backend", choices=BACKENDS, default=None)
 
     k = kinds.add_parser("infer",
                          help="decode completions from a trained "
@@ -937,7 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("simulate", help="simulation job")
     k.add_argument("file", help="Verilog file (inlined into the spec)")
     k.add_argument("--top")
-    k.add_argument("--sim-backend", choices=BACKENDS, default=None)
     k.add_argument("--vcd", action="store_true",
                    help="include VCD text in the result blob")
 
@@ -993,7 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--levels")
-    p.add_argument("--sim-backend", choices=BACKENDS, default=None)
     p.add_argument("--priority", type=int, default=0)
     p.add_argument("--no-wait", action="store_true",
                    help="submit the DAG and return without polling")

@@ -8,7 +8,7 @@ The paper feeds ~200 valid SiliconCompiler scripts to an *existing* LLM
 Here the "existing LLM" is any callable ``describer(script_text) -> str``;
 the default is :class:`repro.llm.oracle.DescriptionOracle`, a
 program-analysis describer over the mini-SiliconCompiler API that plays
-GPT-3.5's role (see DESIGN.md, substitution table).
+GPT-3.5's role (see :mod:`repro.llm.oracle`).
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ Determinism rules (mirroring ``repro.scale``):
   — a task's result is a pure function of the task, never of which
   worker ran it or in what order;
 * results are re-assembled in the caller's task order, so reports are
-  byte-identical across ``jobs`` settings, thread vs process pools, and
-  cache hits vs recomputes.
+  byte-identical across ``jobs`` settings and cache hits vs recomputes.
 
 Cache-invalidation rules:
 
@@ -47,7 +46,7 @@ from ..scale.cache import ManifestCache
 from ..scale.runner import WorkPool
 from .repair_eval import BrokenCase, evaluate_repair_cell
 from .script_eval import iterations_to_correct
-from .verilog_eval import evaluate_cell
+from .verilog_eval import clear_cache, evaluate_cell
 
 #: Bump when the cell blob format (or evaluation semantics) changes;
 #: discards old eval caches wholesale.
@@ -116,11 +115,6 @@ class EvalTask:
     payload: Problem | BrokenCase | ScriptTask
     level: str = "middle"                       #: generation only
     n_samples: int = 5
-    #: Simulator backend (``"compiled"``/``"interp"``/None = default).
-    #: Deliberately excluded from :meth:`key`: the backends are proven
-    #: output-identical (tests/test_sim_differential.py), so cached
-    #: cells are shared across ``--sim-backend`` settings.
-    sim_backend: str | None = None
 
     @property
     def name(self) -> str:
@@ -152,14 +146,14 @@ class EvalTask:
 
 
 def run_eval_task_traced(task: EvalTask) -> tuple[dict, "object"]:
-    """Execute one cell and capture its simulator-backend counters.
+    """Execute one cell and capture its simulator counters.
 
     Returns ``(blob, stats_delta)`` where ``stats_delta`` is the
     :class:`repro.sim.BackendStats` increment this cell caused *in the
-    executing thread*.  Counters are thread-local (each pool worker —
-    thread or process — owns its own), so per-task deltas are exact and
-    summing them over the result stream recovers the true totals no
-    matter where the work ran.  Module-level (picklable) so the
+    executing thread*.  Counters are thread-local (each pool worker
+    process owns its own), so per-task deltas are exact and summing
+    them over the result stream recovers the true totals no matter
+    where the work ran.  Module-level (picklable) so the
     :class:`WorkPool` can run it in a worker process.
     """
     from ..sim import backend_stats
@@ -177,17 +171,25 @@ def run_eval_task(task: EvalTask) -> dict:
     """
     if task.kind == "generation":
         return evaluate_cell(task.model, task.payload, task.level,
-                             task.n_samples,
-                             sim_backend=task.sim_backend).to_dict()
+                             task.n_samples).to_dict()
     if task.kind == "repair":
         return evaluate_repair_cell(task.model, task.payload,
-                                    task.n_samples,
-                                    sim_backend=task.sim_backend) \
-            .to_dict()
+                                    task.n_samples).to_dict()
     if task.kind == "script":
         return iterations_to_correct(task.model, task.payload,
                                      task.n_samples).to_dict()
     raise ValueError(f"unknown eval task kind '{task.kind}'")
+
+
+def _cold_worker() -> None:
+    """Process-pool initializer: start each worker with empty
+    process-wide memos.  A forked worker otherwise inherits the
+    parent's candidate verdicts and simulation results, and the
+    sweep's summed :class:`repro.sim.BackendStats` would depend on what
+    the parent evaluated before the fork."""
+    from ..sim import clear_memo
+    clear_cache()
+    clear_memo()
 
 
 class EvalCache(ManifestCache):
@@ -245,20 +247,17 @@ class EngineStats:
 class EvalEngine:
     """Cached, sharded execution of benchmark cells.
 
-    ``jobs`` maps cells over a process pool (threads with
-    ``use_threads=True``); ``cache_dir`` makes re-runs incremental.
-    Both are purely operational: the result list is byte-identical for
-    any setting.
+    ``jobs`` maps cells over a process pool; ``cache_dir`` makes
+    re-runs incremental.  Both are purely operational: the result list
+    is byte-identical for any setting.
     """
 
-    def __init__(self, jobs: int = 1, cache_dir: str | None = None,
-                 use_threads: bool = False):
+    def __init__(self, jobs: int = 1, cache_dir: str | None = None):
         from ..sim import BackendStats
         self.jobs = max(1, jobs)
         self.cache_dir = cache_dir
-        self.use_threads = use_threads
         self.stats = EngineStats(jobs=self.jobs)
-        #: Simulator-backend counters aggregated across *all* workers of
+        #: Simulator counters aggregated across *all* workers of
         #: every :meth:`run` on this engine (exact with ``jobs > 1``,
         #: unlike the per-thread ``repro.sim.backend_stats()`` counters,
         #: which only ever see the calling thread's own work).
@@ -299,7 +298,7 @@ class EvalEngine:
                     if done % 32 == 0:
                         cache.flush()
 
-            pool = WorkPool(jobs=self.jobs, use_threads=self.use_threads)
+            pool = WorkPool(jobs=self.jobs, initializer=_cold_worker)
             for index, traced in pool.map(run_eval_task_traced, dirty,
                                           on_done=on_done).items():
                 results[index] = traced[0]

@@ -99,16 +99,14 @@ def make_broken_case(problem: Problem, seed: int = 0) -> BrokenCase:
 
 
 def evaluate_repair_cell(model: BehavioralModel, case: BrokenCase,
-                         n_samples: int = 5,
-                         sim_backend: str | None = None) -> RepairCell:
+                         n_samples: int = 5) -> RepairCell:
     attempts = model.repair_verilog(
         case.broken, case.feedback, case.problem.reference,
         case.problem.difficulty, n_samples=n_samples,
         problem_name=case.problem.name)
     syntax_errors = 0
     best = 0.0
-    for outcome in evaluate_candidates(attempts, case.problem,
-                                       sim_backend=sim_backend):
+    for outcome in evaluate_candidates(attempts, case.problem):
         if not outcome.syntax_ok:
             syntax_errors += 1
         best = max(best, outcome.pass_fraction)
@@ -117,16 +115,14 @@ def evaluate_repair_cell(model: BehavioralModel, case: BrokenCase,
 
 def evaluate_repair(models: list[BehavioralModel],
                     problems: list[Problem], seed: int = 0,
-                    n_samples: int = 5, engine=None,
-                    sim_backend: str | None = None) -> RepairReport:
+                    n_samples: int = 5, engine=None) -> RepairReport:
     """Full Table-3 sweep over the RTLLM suite, on the shared engine."""
     from .engine import EvalEngine, EvalTask
     engine = engine if engine is not None else EvalEngine()
     cases = [make_broken_case(problem, seed=case_seed(problem, seed))
              for problem in problems]
     tasks = [EvalTask(kind="repair", model=model, payload=case,
-                      level="", n_samples=n_samples,
-                      sim_backend=sim_backend)
+                      level="", n_samples=n_samples)
              for model in models for case in cases]
     blobs = iter(engine.run(tasks))
     report = RepairReport()

@@ -50,7 +50,7 @@ class SuiteResult:
 def suite_report(suite: str, model_names: list[str],
                  samples: int | None = None,
                  levels: tuple[str, ...] | None = None, seed: int = 0,
-                 engine=None, sim_backend: str | None = None):
+                 engine=None):
     """Evaluate ``suite`` for ``model_names`` in one engine pass."""
     from ..bench import GENERATION_SUITES, generation_suite, scgen_suite
     from ..llm import get_model
@@ -63,12 +63,11 @@ def suite_report(suite: str, model_names: list[str],
         return evaluate_generation(
             models, list(generation_suite(suite)),
             levels=tuple(levels) if levels else DEFAULT_LEVELS,
-            n_samples=samples, engine=engine, sim_backend=sim_backend)
+            n_samples=samples, engine=engine)
     if suite == "repair":
         from ..bench import rtllm_suite
         return evaluate_repair(models, list(rtllm_suite()), seed=seed,
-                               n_samples=samples, engine=engine,
-                               sim_backend=sim_backend)
+                               n_samples=samples, engine=engine)
     if suite == "scripts":
         return evaluate_scripts(models, list(scgen_suite()),
                                 max_attempts=samples, engine=engine)
@@ -153,8 +152,8 @@ def suite_scores(suite: str, report, k: int = 5) -> dict[str, dict]:
 def run_suite(suite: str, models: list[str] | None = None,
               samples: int | None = None, k: int = 5,
               levels: tuple[str, ...] | None = None, seed: int = 0,
-              engine=None, sim_backend: str | None = None,
-              artifacts: list[dict] | None = None) -> SuiteResult:
+              engine=None, artifacts: list[dict] | None = None
+              ) -> SuiteResult:
     """Evaluate one suite end-to-end and render its table.
 
     ``artifacts`` are training artefacts
@@ -173,8 +172,7 @@ def run_suite(suite: str, models: list[str] | None = None,
     if models is None:
         names += [name for name in registered if name not in names]
     report = suite_report(suite, names, samples=samples, levels=levels,
-                          seed=seed, engine=engine,
-                          sim_backend=sim_backend)
+                          seed=seed, engine=engine)
     rendered = render_suite(suite, report, levels=levels, pass_k=k)
     return SuiteResult(suite=suite, models=names, rendered=rendered,
                        report=report)

@@ -23,7 +23,7 @@ from ..bench.problems import PROMPT_LEVELS, Problem
 from ..checker import check_source
 from ..llm.behavioral import BehavioralModel
 from ..scale.cache import LRUCache
-from ..sim import DEFAULT_BACKEND, run_testbench_batch
+from ..sim import run_testbench_batch
 from .passk import pass_at_k
 
 
@@ -110,12 +110,11 @@ _CACHE: LRUCache[tuple[str, str], CandidateResult] = \
     LRUCache(maxsize=_CANDIDATE_CACHE_SIZE)
 
 
-def _candidate_key(code: str, problem: Problem,
-                   backend: str) -> tuple[str, str, str]:
+def _candidate_key(code: str, problem: Problem) -> tuple[str, str]:
     # The verdict depends on the candidate AND the problem's testbench —
     # hashing both keeps memoisation honest if a problem is edited
     # in-process under an unchanged name.
-    return (problem.name, backend,
+    return (problem.name,
             hashlib.sha256(f"{problem.testbench}\x1f{code}"
                            .encode()).hexdigest())
 
@@ -127,14 +126,12 @@ def _verdict_result(verdict) -> CandidateResult:
                            pass_fraction=verdict.pass_fraction)
 
 
-def evaluate_candidate(code: str, problem: Problem,
-                       sim_backend: str | None = None) -> CandidateResult:
+def evaluate_candidate(code: str, problem: Problem) -> CandidateResult:
     """Syntax-check then simulate one candidate against the testbench."""
-    return evaluate_candidates([code], problem, sim_backend)[0]
+    return evaluate_candidates([code], problem)[0]
 
 
-def evaluate_candidates(codes: list[str], problem: Problem,
-                        sim_backend: str | None = None
+def evaluate_candidates(codes: list[str], problem: Problem
                         ) -> list[CandidateResult]:
     """Syntax-check then simulate candidates against one testbench.
 
@@ -144,16 +141,12 @@ def evaluate_candidates(codes: list[str], problem: Problem,
     verdict is already in the in-memory cache is not evaluated at all.
     Candidates that pass the checker go to
     :func:`repro.sim.run_testbench_batch`, which parses the testbench
-    once for the whole batch.  ``sim_backend`` selects the simulator
-    backend (compiled by default); verdicts are backend-independent —
-    the differential harness proves it — but the backend is part of the
-    memoisation key for honesty.
+    once for the whole batch.
     """
-    backend = sim_backend or DEFAULT_BACKEND
     results: dict[str, CandidateResult] = {}
     to_sim: list[str] = []
     for code in dict.fromkeys(codes):
-        key = _candidate_key(code, problem, backend)
+        key = _candidate_key(code, problem)
         cached = _CACHE.get(key)
         if cached is None and \
                 not check_source(code, f"./{problem.name}.v").ok:
@@ -164,18 +157,16 @@ def evaluate_candidates(codes: list[str], problem: Problem,
         else:
             results[code] = cached
     if to_sim:
-        verdicts = run_testbench_batch(to_sim, problem.testbench,
-                                       backend=backend)
+        verdicts = run_testbench_batch(to_sim, problem.testbench)
         for code, verdict in zip(to_sim, verdicts):
             result = _verdict_result(verdict)
-            _CACHE.put(_candidate_key(code, problem, backend), result)
+            _CACHE.put(_candidate_key(code, problem), result)
             results[code] = result
     return [results[code] for code in codes]
 
 
 def evaluate_cell(model: BehavioralModel, problem: Problem, level: str,
-                  n_samples: int = 5,
-                  sim_backend: str | None = None) -> CellResult:
+                  n_samples: int = 5) -> CellResult:
     """One benchmark cell: n samples → syntax count + best function."""
     samples = model.generate_verilog(
         problem.reference, problem.tier, problem.difficulty, level=level,
@@ -184,8 +175,7 @@ def evaluate_cell(model: BehavioralModel, problem: Problem, level: str,
     syntax_errors = 0
     passes = 0
     best = 0.0
-    for outcome in evaluate_candidates(list(samples), problem,
-                                       sim_backend=sim_backend):
+    for outcome in evaluate_candidates(list(samples), problem):
         if not outcome.syntax_ok:
             syntax_errors += 1
         if outcome.passed:
@@ -199,20 +189,17 @@ def evaluate_generation(models: list[BehavioralModel],
                         problems: list[Problem],
                         levels: tuple[str, ...] = PROMPT_LEVELS,
                         n_samples: int = 5,
-                        engine=None,
-                        sim_backend: str | None = None
-                        ) -> GenerationReport:
+                        engine=None) -> GenerationReport:
     """Full Table-5 style sweep through the shared evaluation engine.
 
     ``engine`` is an :class:`repro.eval.engine.EvalEngine` (defaults to a
     serial, uncached one).  The report is byte-identical regardless of
-    the engine's ``jobs`` setting, cache state or ``sim_backend``.
+    the engine's ``jobs`` setting or cache state.
     """
     from .engine import EvalEngine, EvalTask
     engine = engine if engine is not None else EvalEngine()
     tasks = [EvalTask(kind="generation", model=model, payload=problem,
-                      level=level, n_samples=n_samples,
-                      sim_backend=sim_backend)
+                      level=level, n_samples=n_samples)
              for model in models
              for problem in problems
              for level in levels]

@@ -1,12 +1,11 @@
 """The augment → train → evaluate pipeline as a built-in flow spec.
 
-``repro pipeline`` used to hand-roll three ``/api/submit`` calls; it
-is now this data.  The node specs are kept field-for-field identical
-to the historical submissions so the canonical job specs — and
-therefore the result blobs and the golden e2e digest pin in
-``tests/golden/pipeline_report.json`` — are unchanged.  The evaluate
-node points at the train node's artefact with an ``@flow:train``
-reference, which the submit path resolves to the real train job id.
+``repro pipeline`` submits this data as one flow.  The result blobs,
+and so the golden e2e digest pin in
+``tests/golden/pipeline_report.json``, depend only on these node
+specs.  The evaluate node points at the train node's artefact with an
+``@flow:train`` reference, which the submit path resolves to the real
+train job id.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ def pipeline_flow(*, paths: list[str], seed: int = 0,
                   models: list[str] | None = None,
                   samples: int | None = None, k: int = 5,
                   levels: list[str] | None = None,
-                  sim_backend: str | None = None,
                   priority: int = 0) -> dict:
     """Build the 3-node pipeline DAG spec.
 
@@ -37,8 +35,7 @@ def pipeline_flow(*, paths: list[str], seed: int = 0,
     if register_as not in eval_models:
         eval_models = eval_models + [register_as]
     eval_spec = {"suite": suite, "models": eval_models,
-                 "samples": samples, "k": k, "levels": levels,
-                 "seed": 0, "sim_backend": sim_backend,
+                 "samples": samples, "k": k, "levels": levels, "seed": 0,
                  "trained": {"name": register_as, "job": "@flow:train"}}
     return {"name": "pipeline", "priority": priority, "nodes": [
         {"name": "augment", "kind": "augment", "spec": corpus_spec},

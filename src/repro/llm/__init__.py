@@ -1,15 +1,16 @@
 """Language-model substrate.
 
-Two layers (see DESIGN.md substitution table):
+Two layers:
 
 * **real models** — :class:`Tokenizer`, :class:`NGramModel` and
   :class:`TinyTransformerLM` (+ LoRA) trained by actual counting /
   gradient descent on augmented datasets.  The n-gram model powers the
   Fig. 3 scaling law and the Fig. 7 ablation; the transformer is what
   :mod:`repro.train` finetunes and :mod:`repro.infer` decodes.
-* **behavioural models** — calibrated per-model generation policies used
-  to regenerate the pass-rate tables, honestly evaluated by the checker,
-  simulator and EDA flow.
+* **behavioural models** — calibrated per-model generation policies that
+  stand in for the paper's Llama-2/GPT models when regenerating the
+  pass-rate tables (:mod:`repro.llm.behavioral`), honestly evaluated by
+  the checker, simulator and EDA flow.
 """
 
 from .behavioral import (LEVEL_BONUS, PROFILES, BehavioralModel,

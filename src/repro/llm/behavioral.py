@@ -3,7 +3,7 @@
 Running a real Llama-2 is impossible offline, so the benchmark tables are
 regenerated with *behavioural* models: per-model policies that emit Verilog
 / scripts with calibrated error characteristics.  Three properties keep the
-evaluation honest (see DESIGN.md):
+evaluation honest:
 
 1. models never see testbenches or checkers — they only emit code;
 2. all verdicts come from the real checker / simulator / EDA flow;

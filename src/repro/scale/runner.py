@@ -1,8 +1,8 @@
 """Parallel work execution over a ``concurrent.futures`` pool.
 
 :class:`WorkPool` is the generic layer: map a picklable module-level
-function over keyed work items on worker processes (or threads, or the
-calling thread for ``jobs=1``), with a completion callback per item.
+function over keyed work items on worker processes (or the calling
+thread for ``jobs=1``), with a completion callback per item.
 :class:`ShardRunner` specialises it for augmentation shards; the
 evaluation engine (``repro.eval.engine``) maps benchmark cells over the
 same pool.
@@ -33,16 +33,15 @@ class WorkPool:
     """Map a function over keyed work items, optionally in parallel.
 
     ``jobs <= 1`` runs in-process (no pool, no pickling); ``jobs > 1``
-    uses a :class:`~concurrent.futures.ProcessPoolExecutor` by default,
-    or threads when ``use_threads=True`` (useful where fork is
-    unavailable or the workload is I/O bound).  ``fn`` must be a
-    module-level callable and both items and results must pickle when
-    processes are used.
+    uses a :class:`~concurrent.futures.ProcessPoolExecutor` whose
+    workers each run ``initializer`` first.  ``fn`` must be a
+    module-level callable and both items and results must pickle.
     """
 
-    def __init__(self, jobs: int = 1, use_threads: bool = False):
+    def __init__(self, jobs: int = 1,
+                 initializer: Callable[[], None] | None = None):
         self.jobs = max(1, jobs)
-        self.use_threads = use_threads
+        self.initializer = initializer
 
     def map(self, fn: Callable[[W], R], items: dict[K, W],
             on_done: Callable[[K, R], None] | None = None) -> dict[K, R]:
@@ -59,10 +58,9 @@ class WorkPool:
                 if on_done is not None:
                     on_done(key, results[key])
             return results
-        pool_cls = (concurrent.futures.ThreadPoolExecutor
-                    if self.use_threads
-                    else concurrent.futures.ProcessPoolExecutor)
-        with pool_cls(max_workers=min(self.jobs, len(items))) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(items)),
+                initializer=self.initializer) as pool:
             return self._drain(pool, fn, items, on_done)
 
     @staticmethod
@@ -119,11 +117,9 @@ def run_shard(payload: tuple[list[tuple[str, str]], PipelineConfig],
 class ShardRunner:
     """Execute augmentation shards across a :class:`WorkPool`."""
 
-    def __init__(self, config: PipelineConfig | None = None, jobs: int = 1,
-                 use_threads: bool = False):
+    def __init__(self, config: PipelineConfig | None = None, jobs: int = 1):
         self.config = config or PipelineConfig()
         self.jobs = max(1, jobs)
-        self.use_threads = use_threads
 
     def run(self, shards: dict[int, list[SourceFile]],
             on_shard_done: Callable[[int, dict[str, list[Record]]], None]
@@ -132,5 +128,5 @@ class ShardRunner:
         payloads = {index: ([(s.digest, s.path) for s in members],
                             self.config)
                     for index, members in shards.items()}
-        pool = WorkPool(jobs=self.jobs, use_threads=self.use_threads)
+        pool = WorkPool(jobs=self.jobs)
         return pool.map(run_shard, payloads, on_done=on_shard_done)

@@ -32,13 +32,11 @@ class AugmentationService:
 
     def __init__(self, config: PipelineConfig | None = None, jobs: int = 1,
                  cache_dir: str | None = None,
-                 num_shards: int = DEFAULT_NUM_SHARDS,
-                 use_threads: bool = False):
+                 num_shards: int = DEFAULT_NUM_SHARDS):
         self.config = config or PipelineConfig()
         self.jobs = max(1, jobs)
         self.cache_dir = cache_dir
         self.num_shards = num_shards
-        self.use_threads = use_threads
 
     def run(self, paths: Iterable[str], eda_scripts: Iterable[str] = (),
             describer: Describer | None = None) -> ScaleReport:
@@ -70,8 +68,7 @@ class AugmentationService:
                     cache.store(index, keys[index], results)
                     cache.flush()   # interrupted runs keep finished shards
 
-            runner = ShardRunner(config, jobs=self.jobs,
-                                 use_threads=self.use_threads)
+            runner = ShardRunner(config, jobs=self.jobs)
             for results in runner.run(dirty, on_shard_done).values():
                 by_digest.update(results)
         if cache is not None:
@@ -104,11 +101,9 @@ def augment_distributed(paths: Iterable[str],
                         config: PipelineConfig | None = None, jobs: int = 1,
                         cache_dir: str | None = None,
                         num_shards: int = DEFAULT_NUM_SHARDS,
-                        use_threads: bool = False,
                         eda_scripts: Iterable[str] = (),
                         describer: Describer | None = None) -> ScaleReport:
     """One-shot convenience wrapper around :class:`AugmentationService`."""
     service = AugmentationService(config, jobs=jobs, cache_dir=cache_dir,
-                                  num_shards=num_shards,
-                                  use_threads=use_threads)
+                                  num_shards=num_shards)
     return service.run(paths, eda_scripts=eda_scripts, describer=describer)

@@ -4,7 +4,7 @@ Families:
 
 * ``sweep`` — paper-style fan-outs expressed as flow specs with
   ``foreach`` templates: the Fig-7 seed grid, the data-ablation
-  matrix, the simulator backend matrix, the Table-5 model zoo.
+  matrix, the Table-5 model zoo.
 * ``chaos`` — fault injection: SIGKILL a draining service process and
   prove the restart loses nothing and corrupts nothing.
 * ``perf`` — operational floors: warm-cache reruns must hit every
@@ -27,26 +27,6 @@ import time
 
 from .registry import Scenario, register
 from .runner import ScenarioContext, manifest_counters
-
-#: Self-checking testbench shared by the backend matrix: clocked
-#: counter, $display transcript, $finish — exercises edge events,
-#: scheduling and output capture on every backend.
-COUNTER_TB = """module tb;
-  reg clk;
-  reg [3:0] count;
-  initial begin
-    clk = 0;
-    count = 0;
-  end
-  always #5 clk = ~clk;
-  always @(posedge clk) begin
-    $display("count=%d", count);
-    if (count == 4'd7) $finish;
-    count <= count + 1;
-  end
-endmodule
-"""
-
 
 # -- sweep: seed grid ------------------------------------------------------
 
@@ -102,34 +82,6 @@ register(Scenario(
     expected={"full_records": (20, 100000),
               "ablated_records": (1, 100000),
               "augmentation_gain": (1.1, 10.0)}))
-
-
-# -- sweep: simulator backend matrix --------------------------------------
-
-def _build_sim_matrix(ctx: ScenarioContext) -> dict:
-    return {"name": "sim-backend-matrix", "nodes": [
-        {"name": "sim-{backend}", "kind": "simulate",
-         "spec": {"source": COUNTER_TB, "backend": "{backend}"},
-         "foreach": {"backend": ["interp", "compiled"]}}]}
-
-
-def _extract_sim_matrix(results: dict, ctx: ScenarioContext) -> dict:
-    outputs = {blob["output"] for blob in results.values()}
-    return {"backends": len(results),
-            "finished": sum(blob["finished"]
-                            for blob in results.values()),
-            "agreement": 1 if len(outputs) == 1 else 0,
-            "transcript_lines": len(
-                next(iter(results.values()))["output"].splitlines())}
-
-
-register(Scenario(
-    name="sim-backend-matrix", family="sweep", tags=("ci",),
-    description="One testbench through interp and compiled as a flow "
-                "fan-out: both must finish with identical output.",
-    build=_build_sim_matrix, extract=_extract_sim_matrix,
-    expected={"backends": (2, 2), "finished": (2, 2),
-              "agreement": (1, 1), "transcript_lines": (8, 8)}))
 
 
 # -- sweep: model zoo ------------------------------------------------------

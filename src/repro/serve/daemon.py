@@ -32,7 +32,7 @@ stream SSE job-progress events and keep per-tenant accounting live.
 The health payload reports queue depths and in-flight batches per
 kind, job-state counts, ``last_run`` hit/miss counters from every
 cache manifest under the work dir, and the daemon's aggregated
-simulator-backend stats.  Cache manifests are read from disk *outside*
+simulator stats.  Cache manifests are read from disk *outside*
 the locks — a slow health scan never blocks workers or API calls.
 """
 
@@ -302,8 +302,8 @@ class Daemon:
 
     def _cache_health(self) -> dict[str, dict]:
         """``last_run`` hit/miss counters from every cache manifest the
-        work dir has accumulated (augment shards, eval cells, compile
-        verdicts).  Pure disk reads: called with no lock held."""
+        work dir has accumulated (augment shards, eval cells).  Pure
+        disk reads: called with no lock held."""
         caches: dict[str, dict] = {}
         try:
             names = sorted(os.listdir(self.work_dir))

@@ -62,8 +62,7 @@ def compat_key(job: Job) -> str:
     if job.kind == "evaluate":
         knobs = json.dumps(
             [spec["suite"], spec["samples"], spec["levels"],
-             spec["seed"], spec["sim_backend"],
-             spec.get("trained")], sort_keys=True)
+             spec["seed"], spec.get("trained")], sort_keys=True)
         digest = hashlib.sha256(knobs.encode("utf-8")).hexdigest()
         return f"evaluate-{spec['suite']}-{digest[:12]}"
     if job.kind == "infer":
@@ -92,7 +91,7 @@ class JobOutcome:
 
 @dataclass
 class BatchResult:
-    """Per-job outcomes plus the batch's simulator-backend counters."""
+    """Per-job outcomes plus the batch's simulator counters."""
 
     outcomes: dict[str, JobOutcome] = field(default_factory=dict)
     sim_stats: object = None
@@ -260,8 +259,7 @@ def _probe_blob(spec: dict) -> dict:
 def _simulate_blob(spec: dict) -> dict:
     from ..sim import run_simulation
     result = run_simulation(spec["source"], top=spec.get("top"),
-                            trace=bool(spec.get("vcd")),
-                            backend=spec.get("backend"))
+                            trace=bool(spec.get("vcd")))
     return {"kind": "simulate", "ok": result.ok,
             "finished": result.finished, "time": result.time,
             "output": result.output if result.ok else "",
@@ -281,8 +279,7 @@ def _execute_evaluate(jobs: list[Job], engine) -> dict[str, JobOutcome]:
     levels = tuple(leader["levels"]) if leader["levels"] else None
     report = suite_report(leader["suite"], union,
                           samples=leader["samples"], levels=levels,
-                          seed=leader["seed"], engine=engine,
-                          sim_backend=leader["sim_backend"])
+                          seed=leader["seed"], engine=engine)
     outcomes = {}
     for job in jobs:
         sub = subset_report(leader["suite"], report, job.spec["models"])

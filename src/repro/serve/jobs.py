@@ -234,8 +234,6 @@ def _normalize_evaluate(spec: dict) -> dict:
             levels = list(DEFAULT_LEVELS)
     else:
         levels = []
-    backend = spec.get("sim_backend")
-    _require_backend(backend)
     samples = spec.get("samples")
     if samples is None:
         samples = default_samples(suite)
@@ -243,32 +241,20 @@ def _normalize_evaluate(spec: dict) -> dict:
              "'samples' must be a positive integer")
     out = {"suite": suite, "models": models, "samples": samples,
            "k": _as_int(spec, "k", 5), "levels": levels,
-           "seed": _as_int(spec, "seed", 0), "sim_backend": backend}
+           "seed": _as_int(spec, "seed", 0)}
     if trained is not None:
         out["trained"] = trained
     return out
-
-
-def _require_backend(backend) -> None:
-    from ..sim import BACKENDS
-    _require(backend is None or backend in BACKENDS,
-             f"unknown sim backend '{backend}'; available: "
-             f"{', '.join(BACKENDS)}")
 
 
 def _normalize_simulate(spec: dict) -> dict:
     source = spec.get("source")
     _require(isinstance(source, str) and source.strip(),
              "'source' must be non-empty Verilog text")
-    # Accept "sim_backend" too: evaluate specs (and every CLI flag)
-    # spell it that way, and silently dropping it here sent explicit
-    # backend choices to the default.
-    backend = spec.get("backend", spec.get("sim_backend"))
-    _require_backend(backend)
     top = spec.get("top")
     _require(top is None or isinstance(top, str),
              "'top' must be a string module name")
-    return {"source": source, "top": top, "backend": backend,
+    return {"source": source, "top": top,
             "vcd": bool(spec.get("vcd", False))}
 
 

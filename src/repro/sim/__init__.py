@@ -1,29 +1,25 @@
 """Event-driven Verilog simulator (the paper's VCS substitute).
 
+One simulator, used as the pass/fail oracle for every benchmark suite.
+
 Public API:
 
-* :func:`run_simulation` — parse + elaborate + simulate a source string
-  (``backend="compiled"|"interp"``; compiled is the default and falls
-  back to the interpreter on unsupported constructs);
+* :func:`run_simulation` — parse + elaborate + simulate a source string,
+  behind a bounded content-keyed result memo;
 * :func:`run_testbench` — simulate design + self-checking testbench and
   count PASS/FAIL vectors; :func:`run_testbench_batch` scores many
   candidates against one shared (parsed-once) testbench;
 * :class:`Value` — four-state bit-vector values;
 * :func:`elaborate` / :class:`Simulator` — the interpreter pieces;
-* :func:`compile_design` / :class:`CompiledSimulator` — the compiling
-  backend (see :mod:`repro.sim.compile`).
+* :func:`backend_stats` — per-thread counts of simulations run and
+  memo hits.
 """
 
-from .compile import (SIM_COMPILE_VERSION, BackendStats,
-                      CompiledDesign, CompiledDesignCache,
-                      CompiledSimulator, CompileUnsupported,
-                      backend_stats, compile_design,
-                      configure_design_cache, design_cache,
-                      reset_backend_stats, source_digest)
 from .elaborate import Design, ElaborationError, Signal, elaborate
 from .engine import SimulationError, SimulationTimeout, Simulator
-from .testbench import (BACKENDS, DEFAULT_BACKEND, SimResult,
-                        TestbenchVerdict, find_top, run_simulation,
+from .testbench import (BackendStats, SimResult, TestbenchVerdict,
+                        backend_stats, clear_memo, find_top,
+                        reset_backend_stats, run_simulation,
                         run_testbench, run_testbench_batch)
 from .values import Value, from_literal
 from .vcd import Tracer
@@ -34,9 +30,6 @@ __all__ = [
     "ElaborationError", "run_simulation", "run_testbench",
     "run_testbench_batch", "find_top",
     "SimResult", "TestbenchVerdict", "Tracer",
-    "BACKENDS", "DEFAULT_BACKEND", "SIM_COMPILE_VERSION",
-    "BackendStats", "CompileUnsupported", "CompiledDesign",
-    "CompiledDesignCache", "CompiledSimulator", "backend_stats",
-    "compile_design", "configure_design_cache", "design_cache",
-    "reset_backend_stats", "source_digest",
+    "BackendStats", "backend_stats", "clear_memo",
+    "reset_backend_stats",
 ]

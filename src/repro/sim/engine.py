@@ -82,9 +82,6 @@ class _Ctx:
     local_widths: dict[str, int] = field(default_factory=dict)
 
 
-_MAX_FUNC_STEPS = 200_000
-
-
 class Simulator:
     """Simulate an elaborated :class:`Design`."""
 
@@ -101,10 +98,8 @@ class Simulator:
         self._seq = 0
         self._active: deque = deque()
         self._nba: list[tuple[ast.Expr, V.Value, _Ctx]] = []
-        # Values are insertion-ordered index "sets" (dict keys): notify
-        # order is then deterministic AND identical to the compiled
-        # backend's list-based walk, which the differential harness
-        # relies on.
+        # Values are insertion-ordered index "sets" (dict keys), so
+        # notify order is deterministic.
         self._assign_deps: dict[str, dict[int, None]] = {}
         self._assign_pending: set[int] = set()
         self._current_label: str | None = None
@@ -562,7 +557,7 @@ class Simulator:
                 still.append(waiter)
         self._waiters[name] = still
 
-    #: Edge semantics shared with the compiled backend (sim.format).
+    #: Posedge/negedge rule, including x transitions (sim.format).
     _edge_fired = staticmethod(edge_fired)
 
     def _check_trigger(self, waiter: _Waiter) -> bool:

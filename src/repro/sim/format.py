@@ -1,17 +1,8 @@
-"""Shared $display formatting and edge semantics for both sim backends.
+"""$display formatting and edge semantics of the simulator.
 
-The interpreter (:mod:`repro.sim.engine`) and the compiling backend
-(:mod:`repro.sim.compile`) must produce byte-identical ``$display``
-transcripts — the differential fuzz harness asserts it — so the format
-template parsing and per-spec value rendering live here, once.  The
-backends differ only in *how* they obtain the argument values (AST
-evaluation vs compiled closures); everything downstream of that is this
-module.
-
-:func:`edge_fired` is likewise shared: the compiled backend checks edges
-at the write site with (old, new) pairs while the interpreter re-evaluates
-sensitivity expressions, and both must agree bit-for-bit on what counts
-as a posedge/negedge (including the x transitions).
+Template parsing and per-spec value rendering for ``$display`` and
+friends, plus :func:`edge_fired`, the rule for what counts as a
+posedge/negedge (including the x transitions).
 """
 
 from __future__ import annotations

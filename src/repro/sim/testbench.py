@@ -4,36 +4,96 @@ The benchmark suites use self-checking testbenches that print
 ``PASS``/``FAIL`` lines and call ``$finish``; :func:`run_testbench` runs one
 and summarises the outcome.
 
-Two backends sit behind :func:`run_simulation`:
+Every run takes the same path: parse, elaborate, then the event-driven
+interpreter (:class:`~repro.sim.engine.Simulator`).
 
-* ``"compiled"`` (the default) — :mod:`repro.sim.compile` lowers the
-  design once into closures, cached by source digest in the process-wide
-  :class:`~repro.sim.compile.CompiledDesignCache` so repeated runs of
-  the same testbench/reference pair skip parse, elaborate *and* lower;
-* ``"interp"`` — the reference tree-walking interpreter
-  (:class:`~repro.sim.engine.Simulator`).
-
-A design the lowerer cannot handle falls back to the interpreter
-automatically; fallbacks are counted in
-:func:`repro.sim.compile.backend_stats` and the two backends are proven
-output-identical by ``tests/test_sim_differential.py``.
+The simulator is deterministic: ``$random`` is a per-run LCG with a fixed
+seed, ``$readmem*`` is ignored and nothing reads the wall clock.  So
+:func:`run_simulation` sits behind a bounded, content-keyed memo keyed on
+``(source_text, top, max_time, filename)``; it pays off where sources
+repeat, as when a gateway simulates the same benchmark references again
+and again.  Traced runs, and sources that can dump a VCD, bypass it.
+:func:`run_testbench_batch` is not memoised: evaluation already memoises
+its verdicts per candidate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import threading
+from dataclasses import dataclass, field, fields, replace
 
 from ..verilog import ast, parse
 from ..verilog.errors import VerilogError
-from .compile import (CompileUnsupported, backend_stats, compile_design,
-                      design_cache, source_digest)
 from .elaborate import elaborate
-from .engine import SimulationError, SimulationTimeout, Simulator
+from .engine import SimulationError, Simulator
 
-#: Backend used when callers don't pass one explicitly.
-DEFAULT_BACKEND = "compiled"
+#: Distinct (source, top, max_time, filename) results the memo keeps.
+MEMO_SIZE = 256
 
-BACKENDS = ("compiled", "interp")
+
+@dataclass
+class BackendStats:
+    """Per-thread simulator accounting.
+
+    Counters are kept *per thread* (and therefore per process) so
+    concurrent pool workers never race on them; callers that fan work
+    out aggregate the per-item :meth:`delta_since` snapshots back
+    through their result stream (see ``repro.eval.engine``), which is
+    exact regardless of where the work ran.
+
+    The counters are *physical*: they count simulations and memo hits
+    in the counting thread.  Work a memo above the simulator answers
+    (e.g. ``repro.eval.verilog_eval``'s candidate cache) never reaches
+    it and is not counted.
+    """
+
+    #: No simulator increments the five counters other than
+    #: ``interp_runs`` and ``cache_hits``; they stay 0 so
+    #: ``/api/health`` and bench readers keep their schema.
+    compiled_runs: int = 0
+    interp_runs: int = 0          #: simulations executed
+    fallbacks: int = 0
+    compiles: int = 0
+    cache_hits: int = 0           #: :func:`run_simulation` memo hits
+    codegen_hits: int = 0
+    codegen_misses: int = 0
+
+    def copy(self) -> "BackendStats":
+        """A detached snapshot of the current counters."""
+        return replace(self)
+
+    def delta_since(self, before: "BackendStats") -> "BackendStats":
+        """Counter increments since a :meth:`copy` snapshot."""
+        return BackendStats(
+            **{f.name: getattr(self, f.name) - getattr(before, f.name)
+               for f in fields(self)})
+
+    def add(self, other: "BackendStats") -> None:
+        """Accumulate another stats object (e.g. a worker delta)."""
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
+
+    def summary(self) -> str:
+        return (f"sim: {self.interp_runs} run(s), "
+                f"{self.cache_hits} memo hit(s)")
+
+
+_STATS_LOCAL = threading.local()
+
+
+def backend_stats() -> BackendStats:
+    """The live simulator counters of the *calling thread*."""
+    stats = getattr(_STATS_LOCAL, "stats", None)
+    if stats is None:
+        stats = _STATS_LOCAL.stats = BackendStats()
+    return stats
+
+
+def reset_backend_stats() -> None:
+    """Test hook: zero the calling thread's simulator counters."""
+    _STATS_LOCAL.stats = BackendStats()
 
 
 @dataclass
@@ -90,27 +150,13 @@ def find_top(source: ast.SourceFile) -> str:
     return roots[0]
 
 
-def _resolve_backend(backend: str | None) -> str:
-    chosen = backend or DEFAULT_BACKEND
-    if chosen not in BACKENDS:
-        raise ValueError(f"unknown sim backend '{chosen}' "
-                         f"(expected one of {', '.join(BACKENDS)})")
-    return chosen
-
-
-def _finish_result(simulator) -> SimResult:
-    vcd_text = simulator.tracer.to_vcd() if simulator.tracer else None
-    return SimResult(ok=True, finished=simulator.finished,
-                     time=simulator.time,
-                     display=simulator.display_lines, vcd=vcd_text)
-
-
-def _run_interp(source_text: str, top: str | None, max_time: int,
-                filename: str, trace: bool,
-                tree: ast.SourceFile | None = None) -> SimResult:
+def _simulate(source: str | ast.SourceFile, top: str | None,
+              max_time: int, filename: str, trace: bool) -> SimResult:
+    """One simulation of a source text or an already parsed tree."""
+    backend_stats().interp_runs += 1
     try:
-        source = tree if tree is not None else parse(source_text,
-                                                     filename)
+        if isinstance(source, str):
+            source = parse(source, filename)
         top_name = top or find_top(source)
         design = elaborate(source, top_name)
         simulator = Simulator(design)
@@ -121,88 +167,49 @@ def _run_interp(source_text: str, top: str | None, max_time: int,
         return SimResult(ok=False, error=str(exc))
     except RecursionError:
         return SimResult(ok=False, error="elaboration recursion overflow")
-    return _finish_result(simulator)
+    vcd_text = simulator.tracer.to_vcd() if simulator.tracer else None
+    return SimResult(ok=True, finished=simulator.finished,
+                     time=simulator.time,
+                     display=simulator.display_lines, vcd=vcd_text)
 
 
-def _run_compiled(source_text: str, top: str | None, max_time: int,
-                  filename: str, trace: bool,
-                  tree: ast.SourceFile | None = None) -> SimResult | None:
-    """Run on the compiled backend; returns None to request fallback."""
-    stats = backend_stats()
-    cache = design_cache()      # bound once: a concurrent reconfigure
-    digest = source_digest(source_text, top)   # cannot swap it mid-run
-    compiled = cache.get(digest)
-    try:
-        if compiled is None:
-            source = tree if tree is not None else parse(source_text,
-                                                         filename)
-            top_name = top or find_top(source)
-            design = elaborate(source, top_name)
-            compiled = compile_design(design)
-            cache.put(digest, compiled)
-        else:
-            stats.cache_hits += 1
-    except CompileUnsupported as exc:
-        stats.record_fallback(str(exc))
-        return None
-    except (VerilogError, SimulationError) as exc:
-        return SimResult(ok=False, error=str(exc))
-    except RecursionError:
-        return SimResult(ok=False, error="elaboration recursion overflow")
-    # Counted once the design is in hand — like interp_runs, errored
-    # simulations still count as runs on this backend.
-    stats.compiled_runs += 1
-    try:
-        simulator = compiled.simulator()
-        if trace:
-            simulator.enable_tracing()
-        simulator.run(max_time=max_time)
-    except SimulationTimeout:
-        # Step budgets are charged differently by the two runtimes, so
-        # a timeout verdict near the budget boundary could diverge.
-        # The interpreter is authoritative: re-run there so the final
-        # outcome is identical across backends (and across the shared
-        # eval cell cache).  Keyed under a stable reason — the message
-        # embeds per-design details and would never aggregate.
-        stats.compiled_runs -= 1
-        stats.record_fallback("timeout")
-        return None
-    except (VerilogError, SimulationError) as exc:
-        return SimResult(ok=False, error=str(exc))
-    except RecursionError:
-        return SimResult(ok=False, error="elaboration recursion overflow")
-    return _finish_result(simulator)
+def _simulate_frozen(source_text: str, top: str | None, max_time: int,
+                     filename: str) -> tuple:
+    result = _simulate(source_text, top, max_time, filename, False)
+    return (result.ok, result.finished, result.time,
+            tuple(result.display), result.error)
 
 
-def _simulate(chosen: str, source_text: str, top: str | None,
-              max_time: int, filename: str, trace: bool,
-              tree: ast.SourceFile | None = None) -> SimResult:
-    if chosen == "compiled":
-        result = _run_compiled(source_text, top, max_time, filename,
-                               trace, tree=tree)
-        if result is not None:
-            return result
-        # Unsupported construct: fall through to the interpreter.
-    else:
-        backend_stats().interp_runs += 1
-    return _run_interp(source_text, top, max_time, filename, trace,
-                       tree=tree)
+_sim_memo = functools.lru_cache(maxsize=MEMO_SIZE)(_simulate_frozen)
+
+
+def clear_memo() -> None:
+    """Drop every memoised :func:`run_simulation` result."""
+    _sim_memo.cache_clear()
 
 
 def run_simulation(source_text: str, top: str | None = None,
                    max_time: int = 2_000_000,
                    filename: str = "<sim>",
-                   trace: bool = False,
-                   backend: str | None = None) -> SimResult:
+                   trace: bool = False) -> SimResult:
     """Parse, elaborate and simulate; never raises on design errors.
 
-    ``backend`` selects ``"compiled"`` (default; falls back to the
-    interpreter on unsupported constructs) or ``"interp"``.  With
-    ``trace=True`` (or when the testbench calls
-    ``$dumpfile``/``$dumpvars``) the result carries the VCD text.
+    With ``trace=True`` (or when the testbench calls
+    ``$dumpfile``/``$dumpvars``) the result carries the VCD text.  Every
+    call returns a fresh :class:`SimResult`.
     """
-    return _simulate(_resolve_backend(backend), source_text, top,
-                     max_time, filename, trace)
+    # Only a traced run or a $dump* call arms the tracer, so a source
+    # without "$dump" never yields VCD text.
+    if trace or "$dump" in source_text:
+        return _simulate(source_text, top, max_time, filename, trace)
+    stats = backend_stats()
+    runs = stats.interp_runs
+    ok, finished, time, display, error = _sim_memo(
+        source_text, top, max_time, filename)
+    if stats.interp_runs == runs:
+        stats.cache_hits += 1
+    return SimResult(ok=ok, finished=finished, time=time,
+                     display=list(display), error=error)
 
 
 def _verdict_of(result: SimResult) -> TestbenchVerdict:
@@ -224,8 +231,7 @@ def _verdict_of(result: SimResult) -> TestbenchVerdict:
 
 def run_testbench(design_text: str, testbench_text: str,
                   top: str | None = None,
-                  max_time: int = 2_000_000,
-                  backend: str | None = None) -> TestbenchVerdict:
+                  max_time: int = 2_000_000) -> TestbenchVerdict:
     """Simulate design+testbench and count PASS/FAIL lines.
 
     A testbench reports vectors via ``$display``; any line containing
@@ -233,36 +239,31 @@ def run_testbench(design_text: str, testbench_text: str,
     containing ``PASS``/``OK`` as a passed one.
     """
     result = run_simulation(design_text + "\n" + testbench_text, top=top,
-                            max_time=max_time, backend=backend)
+                            max_time=max_time)
     return _verdict_of(result)
 
 
 def run_testbench_batch(design_texts: list[str], testbench_text: str,
                         top: str | None = None,
-                        max_time: int = 2_000_000,
-                        backend: str | None = None
+                        max_time: int = 2_000_000
                         ) -> list[TestbenchVerdict]:
     """Score many candidate designs against one shared testbench.
 
     Evaluation's dominant pattern — N sampled candidates × one bench —
     pays the bench parse exactly once here: the bench module list is
     parsed up front and grafted onto each candidate's parse tree, so
-    per-candidate work on a cache miss is candidate-parse + elaborate
-    + lower only, and on a warm compiled cache it is zero front-end
-    work.  Verdicts (and backend cache keys) are identical
-    to N separate :func:`run_testbench` calls on the concatenated
-    sources — the batched and unbatched paths share one digest space.
+    per-candidate work is candidate-parse + elaborate + simulate.
+    Verdicts are identical to N separate :func:`run_testbench` calls on
+    the concatenated sources.
     """
     try:
         bench_tree = parse(testbench_text, "<bench>")
     except VerilogError as exc:
         error = TestbenchVerdict(ok=False, error=str(exc))
         return [error] * len(design_texts)
-    chosen = _resolve_backend(backend)
     verdicts: list[TestbenchVerdict] = []
     bench_modules = list(bench_tree.modules)
     for text in design_texts:
-        merged_text = text + "\n" + testbench_text
         try:
             cand_tree = parse(text, "<candidate>")
         except VerilogError as exc:
@@ -271,6 +272,5 @@ def run_testbench_batch(design_texts: list[str], testbench_text: str,
         merged = ast.SourceFile(
             modules=list(cand_tree.modules) + bench_modules)
         verdicts.append(_verdict_of(_simulate(
-            chosen, merged_text, top, max_time, "<sim>", False,
-            tree=merged)))
+            merged, top, max_time, "<sim>", False)))
     return verdicts

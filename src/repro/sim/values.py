@@ -26,8 +26,8 @@ class Value:
     """Fixed-width four-state vector.
 
     A hand-rolled ``__slots__`` class (not a dataclass): Value
-    construction is the single hottest allocation in both simulator
-    backends, and the plain ``__init__`` below is ~2x faster than the
+    construction is the single hottest allocation in the simulator,
+    and the plain ``__init__`` below is ~2x faster than the
     frozen-dataclass ``object.__setattr__`` path.  Instances are
     treated as immutable everywhere.
     """
@@ -90,10 +90,6 @@ class Value:
     def is_true(self) -> bool:
         """Verilog truthiness: any known 1 bit (x-only vectors are false)."""
         return self.val != 0
-
-    @property
-    def is_definite_zero(self) -> bool:
-        return self.val == 0 and self.xz == 0
 
     def bit(self, index: int) -> str:
         """Return '0', '1' or 'x' for bit ``index`` (out of range → 'x')."""
@@ -174,8 +170,8 @@ class Value:
 _UNKNOWN: dict[int, Value] = {}
 
 #: Interned single-bit values — 1-bit vectors have exactly three
-#: canonical states, and they are by far the hottest allocation in both
-#: simulator backends (bit selects, comparisons, logic ops, 1-bit regs).
+#: canonical states, and they are by far the hottest allocation in the
+#: simulator (bit selects, comparisons, logic ops, 1-bit regs).
 _B0 = Value(1, 0)
 _B1 = Value(1, 1)
 _BX = Value(1, 0, 1)

@@ -50,20 +50,11 @@ class Tracer:
         else:
             history.append(_Change(time, value))
 
-    def snapshot_initial(self, time: int = 0,
-                         values: dict[str, Value] | None = None) -> None:
-        """Record the current value of every scalar/vector signal.
-
-        ``values`` overrides the design's stored values — the compiled
-        backend keeps its signal store outside the (shared, cached)
-        :class:`Design` and passes its live values here.
-        """
+    def snapshot_initial(self, time: int = 0) -> None:
+        """Record the current value of every scalar/vector signal."""
         for name, signal in self.design.signals.items():
-            if signal.is_array:
-                continue
-            value = signal.value if values is None else \
-                values.get(name, signal.value)
-            self.record(name, time, value)
+            if not signal.is_array:
+                self.record(name, time, signal.value)
 
     # -- rendering -----------------------------------------------------------
 

@@ -43,8 +43,7 @@ from ..scale.store import DEFAULT_NUM_SHARDS
 def corpus_dataset(paths: Iterable[str],
                    config: PipelineConfig | None = None,
                    cache_dir: str | None = None, jobs: int = 1,
-                   num_shards: int = DEFAULT_NUM_SHARDS,
-                   use_threads: bool = False):
+                   num_shards: int = DEFAULT_NUM_SHARDS):
     """Canonically-ordered training dataset for a corpus.
 
     Returns ``(dataset, scale_report)``.  With a warm ``cache_dir``
@@ -55,8 +54,7 @@ def corpus_dataset(paths: Iterable[str],
     """
     report = augment_distributed(paths, config=config, jobs=jobs,
                                  cache_dir=cache_dir,
-                                 num_shards=num_shards,
-                                 use_threads=use_threads)
+                                 num_shards=num_shards)
     return report.dataset, report
 
 

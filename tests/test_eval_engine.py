@@ -13,7 +13,6 @@ from repro.eval import (EvalEngine, EvalTask, clear_cache,
 from repro.experiments import EXPERIMENTS, run_selected
 from repro.llm import get_model
 from repro.scale import LRUCache
-from repro.sim import configure_design_cache
 
 MODELS = ("ours-13b", "llama2-13b")
 
@@ -40,11 +39,6 @@ class TestParallelDeterminism:
         serial = _rendered(EvalEngine(jobs=1))
         parallel = _rendered(EvalEngine(jobs=4))
         assert parallel == serial
-
-    def test_thread_pool_report_byte_identical_to_serial(self):
-        serial = _rendered(EvalEngine(jobs=1))
-        threaded = _rendered(EvalEngine(jobs=4, use_threads=True))
-        assert threaded == serial
 
     def test_repair_and_scripts_parallel_parity(self):
         from repro.bench import rtllm_suite
@@ -291,15 +285,12 @@ class TestCliEvaluate:
 
 
 class TestBackendStatsAggregation:
-    """Fix: `--jobs > 1` used to silently undercount simulator-backend
+    """Fix: `--jobs > 1` used to silently undercount simulator
     counters (they lived in pool workers); the engine now aggregates
     each worker's per-task deltas back through its result stream."""
 
     def _sweep(self, engine):
-        # Forked workers inherit both in-memory caches: start them empty
-        # so the workers really simulate and compile.
         clear_cache()
-        configure_design_cache()
         return evaluate_generation(_models(), _problems(2),
                                    levels=("low",), n_samples=2,
                                    engine=engine)
@@ -312,33 +303,45 @@ class TestBackendStatsAggregation:
         main_delta = backend_stats().delta_since(before)
         # All simulation happened in forked workers: the calling
         # thread's own counters see none of it...
-        assert main_delta.total_runs == 0
+        assert main_delta.interp_runs == 0
         # ...but the engine's aggregate does.
-        assert engine.sim_stats.total_runs > 0
-        assert engine.sim_stats.compiles > 0
+        assert engine.sim_stats.interp_runs > 0
 
     def test_aggregated_stats_deterministic_across_pools(self):
         # BackendStats counts physical simulations per process, and the
         # candidate memo (verilog_eval._CACHE) is per worker: which
         # forked worker serves which cell decides how many simulations
         # a memo hit saves.  Run counts may therefore differ run to
-        # run; the report and the fallback count may not.
+        # run; the report may not.
         first = EvalEngine(jobs=3)
         first_report = self._sweep(first)
         second = EvalEngine(jobs=3)
         second_report = self._sweep(second)
         assert first_report == second_report
-        assert first.sim_stats.total_runs > 0
-        assert second.sim_stats.total_runs > 0
-        assert first.sim_stats.fallbacks == second.sim_stats.fallbacks
+        assert first.sim_stats.interp_runs > 0
+        assert second.sim_stats.interp_runs > 0
 
-    def test_thread_pool_and_serial_stats_are_counted(self):
+    def test_serial_stats_are_counted(self):
         serial = EvalEngine(jobs=1)
         self._sweep(serial)
-        assert serial.sim_stats.total_runs > 0
-        threaded = EvalEngine(jobs=3, use_threads=True)
-        self._sweep(threaded)
-        assert threaded.sim_stats.total_runs > 0
+        assert serial.sim_stats.interp_runs > 0
+
+    def test_pool_workers_start_with_cold_memos(self):
+        # One model, one level, distinct problems: no candidate is
+        # shared between cells, so which worker serves which cell
+        # cannot change how many simulations run.
+        def sweep(engine):
+            evaluate_generation([get_model("ours-13b")], _problems(4),
+                                levels=("middle",), n_samples=3,
+                                engine=engine)
+            return engine.sim_stats
+
+        clear_cache()
+        cold = sweep(EvalEngine(jobs=1))
+        assert cold.interp_runs > 0
+        # The parent is now warm: its candidate memo holds every
+        # verdict.  Forked workers must not inherit it.
+        assert sweep(EvalEngine(jobs=3)) == cold
 
     def test_counters_are_thread_local(self):
         import threading
@@ -358,22 +361,15 @@ class TestBackendStatsAggregation:
 
     def test_stats_copy_delta_add_arithmetic(self):
         from repro.sim import BackendStats
-        stats = BackendStats(compiled_runs=3, interp_runs=1,
-                             compiles=2)
-        stats.record_fallback("delay in function")
+        stats = BackendStats(interp_runs=3, cache_hits=1)
         snap = stats.copy()
-        stats.compiled_runs += 2
-        stats.record_fallback("delay in function")
-        stats.record_fallback("other thing")
+        stats.interp_runs += 2
+        stats.cache_hits += 4
         delta = stats.delta_since(snap)
-        assert delta.compiled_runs == 2
-        assert delta.interp_runs == 0
-        assert delta.fallbacks == 2
-        assert delta.fallback_reasons == {"delay in function": 1,
-                                          "other thing": 1}
+        assert delta.interp_runs == 2
+        assert delta.cache_hits == 4
+        assert delta.compiled_runs == 0
         total = BackendStats()
         total.add(snap)
         total.add(delta)
-        assert total.compiled_runs == stats.compiled_runs
-        assert total.fallbacks == stats.fallbacks
-        assert total.fallback_reasons == stats.fallback_reasons
+        assert total == stats

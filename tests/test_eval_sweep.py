@@ -63,10 +63,9 @@ def test_duplicates_in_a_batch_are_evaluated_once(monkeypatch):
         checked.append(code)
         return check_source(code, filename)
 
-    def counting_batch(codes, testbench, backend=None):
+    def counting_batch(codes, testbench):
         simulated.append(list(codes))
-        return [run_testbench(code, testbench, backend=backend)
-                for code in codes]
+        return [run_testbench(code, testbench) for code in codes]
 
     monkeypatch.setattr(verilog_eval, "check_source", counting_check)
     monkeypatch.setattr(verilog_eval, "run_testbench_batch",

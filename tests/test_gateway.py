@@ -212,16 +212,19 @@ def test_batched_wait_and_ids_query(stack):
     assert err.value.status == 404
 
 
-@pytest.mark.parametrize("kind,spec", [
-    ("simulate", {"source": TB_PASS, "backend": "codegen"}),
-    ("evaluate", {"suite": "scripts", "sim_backend": "codegen"}),
-])
-def test_unknown_sim_backend_is_a_400(stack, kind, spec):
+def test_legacy_backend_keys_are_dropped(stack):
+    """Specs written when a simulator backend could be chosen still
+    run: the normaliser drops the key like any other unknown key."""
     client = ServeClient(stack[1].url)
-    with pytest.raises(ServeError) as err:
-        client.submit(kind, spec)
-    assert err.value.status == 400
-    assert "compiled, interp" in err.value.payload["error"]
+    plain = client.submit("simulate", {"source": TB_PASS})["id"]
+    legacy = client.submit("simulate", {"source": TB_PASS,
+                                        "backend": "compiled",
+                                        "sim_backend": "interp"})["id"]
+    jobs = client.wait([plain, legacy], timeout=60)
+    assert jobs[legacy]["state"] == "done", jobs[legacy]
+    assert "backend" not in jobs[legacy]["spec"]
+    assert _canonical(client.result(legacy)) == \
+        _canonical(client.result(plain))
 
 
 def test_cancel_and_result_conflict(stack):

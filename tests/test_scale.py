@@ -87,13 +87,6 @@ class TestDistributedEquivalence:
         four = augment_distributed(shuffled, CONFIG, jobs=4, num_shards=8)
         assert one.dataset.to_jsonl() == four.dataset.to_jsonl()
 
-    def test_threads_executor_equivalent(self, corpus_dir):
-        paths = _paths(corpus_dir)
-        procs = augment_distributed(paths, CONFIG, jobs=2)
-        threads = augment_distributed(paths, CONFIG, jobs=2,
-                                      use_threads=True)
-        assert procs.dataset.to_jsonl() == threads.dataset.to_jsonl()
-
     def test_duplicate_content_handled(self, tmp_path):
         text = generate_corpus(1, seed=5)[0]
         for name in ("a.v", "b.v"):

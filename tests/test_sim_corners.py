@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import (SimulationError, SimulationTimeout, Simulator,
-                       compile_design, elaborate, run_simulation)
+                       elaborate, run_simulation)
 from repro.verilog import parse
 
 
@@ -249,17 +249,6 @@ endmodule"""
         # may be the last event dispatched.
         assert "process in 'top' (line" in message
         assert "delta cycles" in message
-        assert err.process is not None
-        assert "always" in err.process or "assign" in err.process
-        assert isinstance(err.delta, int) and err.delta > 0
-
-    def test_compiled_backend_reports_the_same_shape(self):
-        design = elaborate(parse(self.OSCILLATOR), "tb")
-        compiled = compile_design(design)
-        with pytest.raises(SimulationTimeout) as excinfo:
-            sim = compiled.simulator()
-            sim.run(max_time=100000)
-        err = excinfo.value
         assert err.process is not None
         assert "always" in err.process or "assign" in err.process
         assert isinstance(err.delta, int) and err.delta > 0

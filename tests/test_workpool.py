@@ -30,7 +30,7 @@ def test_serial_map_runs_inline_with_on_done():
 
 def test_on_done_fires_for_successes_despite_sibling_fault():
     done = []
-    pool = WorkPool(jobs=2, use_threads=True)
+    pool = WorkPool(jobs=2)
     with pytest.raises(ValueError, match="bad item -1"):
         pool.map(_maybe_fail, {"ok1": 1, "boom": -1, "ok2": 2},
                  on_done=lambda key, result: done.append(key))
@@ -38,7 +38,7 @@ def test_on_done_fires_for_successes_despite_sibling_fault():
 
 
 def test_first_error_in_submission_order_wins():
-    pool = WorkPool(jobs=2, use_threads=True)
+    pool = WorkPool(jobs=2)
     for _ in range(5):                        # completion order varies
         with pytest.raises(ValueError, match="bad item -7"):
             pool.map(_maybe_fail, {"a": -7, "b": -9, "c": 3})
