@@ -31,7 +31,8 @@ RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 def _timed(engine):
     models = [get_model(name) for name in MODELS]
     problems = list(thakur_suite())
-    # Drop every in-process memo so runs are comparable.
+    # Drop every in-process memo so runs are comparable; clear_memo()
+    # takes the simulation results and the testbench trees.
     clear_cache()
     clear_memo()
     for memo in (_lex_memo, token_spans, corrupt_functionally):

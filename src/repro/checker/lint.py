@@ -504,6 +504,14 @@ def _expr_width(expr: ast.Expr,
 
 def check_source(text: str, filename: str = "<input>") -> CheckResult:
     """Parse + lint ``text``; syntax errors become single-diagnostic results."""
+    return check_source_tree(text, filename)[0]
+
+
+def check_source_tree(text: str, filename: str = "<input>"
+                      ) -> tuple[CheckResult, ast.SourceFile | None]:
+    """:func:`check_source`, plus the tree it parsed (None on a syntax
+    error), so a caller that goes on to simulate the text need not parse
+    it again.  The lint pass only reads the tree."""
     result = CheckResult(filename=filename)
     try:
         source = parse(text, filename)
@@ -511,9 +519,9 @@ def check_source(text: str, filename: str = "<input>") -> CheckResult:
         result.diagnostics.append(Diagnostic(
             severity=ERROR, message=exc.message, line=exc.line,
             filename=filename))
-        return result
+        return result, None
     result.diagnostics = Checker(source, filename).check()
-    return result
+    return result, source
 
 
 def yosys_feedback(text: str, filename: str = "./design.v") -> str | None:

@@ -29,6 +29,12 @@ from dataclasses import dataclass, field
 from ..verilog import TokenKind
 from .textspan import Edit, TokenSpan, apply_edits, token_spans
 
+# Fetching an enum member through its class is a slow attribute lookup,
+# and the candidate scans test the kind of every token.
+_ID, _KEYWORD, _NUMBER, _STRING, _OP = (
+    TokenKind.ID, TokenKind.KEYWORD, TokenKind.NUMBER, TokenKind.STRING,
+    TokenKind.OP)
+
 #: Rule names in paper order.
 MUTATION_RULES = (
     "word_missing",
@@ -95,14 +101,14 @@ class Mutator:
         out = []
         for span in spans:
             token = span.token
-            if token.kind is TokenKind.KEYWORD and \
+            if token.kind is _KEYWORD and \
                     token.value in _REMOVABLE_KEYWORDS:
                 out.append(Edit(span.start, span.end, "",
                                 f"removed keyword '{token.value}'"))
             elif token.is_op(";"):
                 out.append(Edit(span.start, span.end, "",
                                 "removed semicolon"))
-            elif token.kind is TokenKind.ID and len(token.value) > 1:
+            elif token.kind is _ID and len(token.value) > 1:
                 out.append(Edit(span.start, span.end, "",
                                 f"removed operand '{token.value}'"))
         return out
@@ -124,7 +130,7 @@ class Mutator:
         out = []
         for pos in range(1, len(spans) - 1):
             span = spans[pos]
-            if span.token.kind is not TokenKind.NUMBER:
+            if span.token.kind is not _NUMBER:
                 continue
             prev_tok = spans[pos - 1].token
             next_tok = spans[pos + 1].token
@@ -145,10 +151,11 @@ class Mutator:
     def _candidates_additional_word(self, spans: tuple[TokenSpan, ...],
                                     text: str) -> list[Edit]:
         out = []
+        choice = self.rng.choice
         for span in spans:
-            if span.token.kind in (TokenKind.STRING,):
+            if span.token.kind is _STRING:
                 continue
-            word = self.rng.choice(_NONSENSE_WORDS)
+            word = choice(_NONSENSE_WORDS)
             out.append(Edit(span.end, span.end, f" {word}",
                             f"inserted nonsense word '{word}'"))
         return out
@@ -166,7 +173,7 @@ class Mutator:
             end_span = None
             for scan in range(pos + 1, len(spans)):
                 value = spans[scan].token.value
-                if spans[scan].token.kind is TokenKind.OP:
+                if spans[scan].token.kind is _OP:
                     if value == "(":
                         depth += 1
                     elif value == ")":
@@ -212,8 +219,10 @@ class Mutator:
                     self, f"_candidates_{picked_rule}")(spans, text)
                 if picked_rule not in _RNG_DRAWING_RULES:
                     built[picked_rule] = rule_candidates
-            candidates = [c for c in rule_candidates
-                          if not _overlaps(c, chosen)]
+            candidates = rule_candidates
+            if chosen:  # nothing chosen yet means nothing to overlap
+                candidates = [c for c in rule_candidates
+                              if not _overlaps(c, chosen)]
             if not candidates:
                 continue
             edit = self.rng.choice(candidates)

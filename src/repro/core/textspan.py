@@ -38,8 +38,9 @@ def token_spans(text: str) -> tuple[TokenSpan, ...]:
     """
     line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     spans = []
+    eof = TokenKind.EOF
     for token in tokenize(text):
-        if token.kind is TokenKind.EOF:
+        if token.kind is eof:
             break
         start = line_starts[token.line - 1] + token.col - 1
         spans.append(TokenSpan(token, start,

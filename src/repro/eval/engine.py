@@ -272,9 +272,11 @@ class EvalEngine:
         keys: dict[int, str] = {}
         dirty: dict[int, EvalTask] = {}
         for index, task in enumerate(tasks):
-            keys[index] = task.key()
-            cached = (cache.lookup(task.slot(), keys[index])
-                      if cache is not None else None)
+            # A key only addresses the cache; without one it is never read.
+            cached = None
+            if cache is not None:
+                keys[index] = task.key()
+                cached = cache.lookup(task.slot(), keys[index])
             if cached is not None:
                 results[index] = cached
             else:

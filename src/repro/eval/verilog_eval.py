@@ -20,10 +20,11 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..bench.problems import PROMPT_LEVELS, Problem
-from ..checker import check_source
+from ..checker import check_source_tree
 from ..llm.behavioral import BehavioralModel
 from ..scale.cache import LRUCache
 from ..sim import run_testbench_batch
+from ..verilog import ast
 from .passk import pass_at_k
 
 
@@ -140,24 +141,28 @@ def evaluate_candidates(codes: list[str], problem: Problem
     problem returns its reference on most samples), and a code whose
     verdict is already in the in-memory cache is not evaluated at all.
     Candidates that pass the checker go to
-    :func:`repro.sim.run_testbench_batch`, which parses the testbench
-    once for the whole batch.
+    :func:`repro.sim.run_testbench_batch` with the trees the checker
+    parsed, so each is parsed once; the testbench is parsed once per
+    process.
     """
     results: dict[str, CandidateResult] = {}
     to_sim: list[str] = []
+    trees: list[ast.SourceFile] = []
     for code in dict.fromkeys(codes):
         key = _candidate_key(code, problem)
         cached = _CACHE.get(key)
-        if cached is None and \
-                not check_source(code, f"./{problem.name}.v").ok:
+        if cached is None:
+            check, tree = check_source_tree(code, f"./{problem.name}.v")
+            if check.ok:
+                to_sim.append(code)
+                trees.append(tree)
+                continue
             cached = CandidateResult(syntax_ok=False, pass_fraction=0.0)
             _CACHE.put(key, cached)
-        if cached is None:
-            to_sim.append(code)
-        else:
-            results[code] = cached
+        results[code] = cached
     if to_sim:
-        verdicts = run_testbench_batch(to_sim, problem.testbench)
+        verdicts = run_testbench_batch(to_sim, problem.testbench,
+                                       trees=trees)
         for code, verdict in zip(to_sim, verdicts):
             result = _verdict_result(verdict)
             _CACHE.put(_candidate_key(code, problem), result)

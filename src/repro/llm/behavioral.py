@@ -227,12 +227,16 @@ def corrupt_functionally(text: str, seed: int, attempts: int = 5,
     anyone else holds.
     """
     try:
-        canonical = unparse(parse(text))
+        source = parse(text)
     except VerilogError:
         return text
+    # Taken before the first attempt edits ``source``; each retry edits
+    # a fresh parse.
+    canonical = unparse(source)
     for attempt in range(attempts):
         rng = random.Random(seed + attempt * 7919)
-        source = parse(text)
+        if attempt:
+            source = parse(text)
         if _functional_edits(source, rng, count=edits):
             mutated = unparse(source)
             if mutated != canonical:

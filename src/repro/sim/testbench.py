@@ -14,7 +14,9 @@ seed, ``$readmem*`` is ignored and nothing reads the wall clock.  So
 repeat, as when a gateway simulates the same benchmark references again
 and again.  Traced runs, and sources that can dump a VCD, bypass it.
 :func:`run_testbench_batch` is not memoised: evaluation already memoises
-its verdicts per candidate.
+its verdicts per candidate.  It does keep the parse trees of the
+testbenches it has seen, since one testbench scores every candidate of
+its problem; elaboration and simulation only read a tree.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .engine import SimulationError, Simulator
 
 #: Distinct (source, top, max_time, filename) results the memo keeps.
 MEMO_SIZE = 256
+
+#: Distinct testbench texts whose trees :func:`run_testbench_batch`
+#: keeps; the benchmark suites have 46.
+BENCH_MEMO_SIZE = 64
 
 
 @dataclass
@@ -183,9 +189,18 @@ def _simulate_frozen(source_text: str, top: str | None, max_time: int,
 _sim_memo = functools.lru_cache(maxsize=MEMO_SIZE)(_simulate_frozen)
 
 
+@functools.lru_cache(maxsize=BENCH_MEMO_SIZE)
+def _bench_tree(testbench_text: str) -> ast.SourceFile:
+    """The testbench's tree, shared by every batch that scores against
+    it; only the simulator reads it.  Parse errors are not memoised."""
+    return parse(testbench_text, "<bench>")
+
+
 def clear_memo() -> None:
-    """Drop every memoised :func:`run_simulation` result."""
+    """Drop every memoised :func:`run_simulation` result and testbench
+    tree."""
     _sim_memo.cache_clear()
+    _bench_tree.cache_clear()
 
 
 def run_simulation(source_text: str, top: str | None = None,
@@ -245,30 +260,36 @@ def run_testbench(design_text: str, testbench_text: str,
 
 def run_testbench_batch(design_texts: list[str], testbench_text: str,
                         top: str | None = None,
-                        max_time: int = 2_000_000
+                        max_time: int = 2_000_000,
+                        trees: list[ast.SourceFile | None] | None = None
                         ) -> list[TestbenchVerdict]:
     """Score many candidate designs against one shared testbench.
 
     Evaluation's dominant pattern — N sampled candidates × one bench —
-    pays the bench parse exactly once here: the bench module list is
-    parsed up front and grafted onto each candidate's parse tree, so
+    parses the testbench once per distinct text per process: its tree
+    comes from a bounded memo (emptied by :func:`clear_memo`) and its
+    modules are grafted onto each candidate's parse tree, so
     per-candidate work is candidate-parse + elaborate + simulate.
-    Verdicts are identical to N separate :func:`run_testbench` calls on
-    the concatenated sources.
+    ``trees``, when given, holds each design's parse tree where the
+    caller already has one (``None`` where it has not), and saves that
+    parse too.  Verdicts are identical to N separate
+    :func:`run_testbench` calls on the concatenated sources.
     """
     try:
-        bench_tree = parse(testbench_text, "<bench>")
+        bench_tree = _bench_tree(testbench_text)
     except VerilogError as exc:
         error = TestbenchVerdict(ok=False, error=str(exc))
         return [error] * len(design_texts)
     verdicts: list[TestbenchVerdict] = []
     bench_modules = list(bench_tree.modules)
-    for text in design_texts:
-        try:
-            cand_tree = parse(text, "<candidate>")
-        except VerilogError as exc:
-            verdicts.append(TestbenchVerdict(ok=False, error=str(exc)))
-            continue
+    for text, cand_tree in zip(design_texts,
+                               trees or [None] * len(design_texts)):
+        if cand_tree is None:
+            try:
+                cand_tree = parse(text, "<candidate>")
+            except VerilogError as exc:
+                verdicts.append(TestbenchVerdict(ok=False, error=str(exc)))
+                continue
         merged = ast.SourceFile(
             modules=list(cand_tree.modules) + bench_modules)
         verdicts.append(_verdict_of(_simulate(

@@ -13,6 +13,10 @@ Design notes
   containing the exact source text.  Numeric *interpretation* lives in
   :mod:`repro.sim.values`, keeping the lexer purely lexical.
 * Positions are 1-based (line, column) to match yosys error messages.
+* A :class:`~repro.verilog.tokens.Token` is a named tuple, built here
+  through ``tuple.__new__`` directly: that skips the named tuple's
+  Python-level ``__new__``, and token construction is most of the cost
+  of a lex.
 * The generate/repair/mutate loops lex the same texts many times, so
   :func:`tokenize` sits in front of a bounded, thread-safe memo keyed
   by the text.  Lex errors are never memoised.
@@ -62,6 +66,8 @@ _KINDS = {"op": TokenKind.OP, "number": TokenKind.NUMBER,
 def _lex(text: str) -> tuple[Token, ...]:
     """Tokenise ``text``; errors carry the default filename."""
     match = _MASTER.match
+    new = tuple.__new__
+    keyword, ident = TokenKind.KEYWORD, TokenKind.ID
     tokens: list[Token] = []
     append = tokens.append
     pos, line, line_start = 0, 1, 0
@@ -77,8 +83,8 @@ def _lex(text: str) -> tuple[Token, ...]:
         group = m.lastgroup
         value = m[group]
         if group == "id":
-            append(Token(TokenKind.KEYWORD if value in KEYWORDS
-                         else TokenKind.ID, value, line, col))
+            append(new(Token, (keyword if value in KEYWORDS else ident,
+                               value, line, col)))
         elif group == "open_comment":
             # Reported at the column where the text ends, as the original
             # character-cursor lexer did.
@@ -91,7 +97,7 @@ def _lex(text: str) -> tuple[Token, ...]:
                     raise VerilogLexError("based literal has no digits",
                                           line,
                                           m.start(digits) - line_start + 1)
-            append(Token(_KINDS[group], value, line, col))
+            append(new(Token, (_KINDS[group], value, line, col)))
         if "\n" in value:  # only trivia and strings span lines
             line += value.count("\n")
             line_start = text.rfind("\n", pos, m.end()) + 1

@@ -13,6 +13,12 @@ from .errors import VerilogSyntaxError
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
+# Fetching an enum member through its class is a slow attribute lookup,
+# and the parser tests a token kind at nearly every step.
+_ID, _KEYWORD, _NUMBER, _STRING, _OP, _SYSTEM_ID, _EOF = (
+    TokenKind.ID, TokenKind.KEYWORD, TokenKind.NUMBER, TokenKind.STRING,
+    TokenKind.OP, TokenKind.SYSTEM_ID, TokenKind.EOF)
+
 _DECL_KINDS = frozenset({
     "wire", "reg", "integer", "real", "time", "genvar", "tri",
     "supply0", "supply1",
@@ -59,12 +65,10 @@ class Parser:
         self.filename = filename
         self.tokens = tokenize(text, filename)
         self.idx = 0
+        #: ``tokens[idx]``, kept in step by :meth:`_advance`.
+        self.cur: Token = self.tokens[0]
 
     # -- cursor helpers ----------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.idx]
 
     def _peek(self, offset: int = 1) -> Token:
         idx = min(self.idx + offset, len(self.tokens) - 1)
@@ -72,8 +76,9 @@ class Parser:
 
     def _advance(self) -> Token:
         tok = self.cur
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not _EOF:
             self.idx += 1
+            self.cur = self.tokens[self.idx]
         return tok
 
     def _error(self, expected: str | None = None) -> VerilogSyntaxError:
@@ -84,30 +89,43 @@ class Parser:
         return VerilogSyntaxError(message, tok.line, tok.col, self.filename,
                                   unexpected=tok.value)
 
+    # The helpers below test the token inline and step without
+    # _advance's EOF guard: a token they match is never EOF.
+
+    def _step(self, tok: Token) -> Token:
+        self.idx += 1
+        self.cur = self.tokens[self.idx]
+        return tok
+
     def _expect_op(self, text: str) -> Token:
-        if not self.cur.is_op(text):
+        tok = self.cur
+        if tok.value != text or tok.kind is not _OP:
             raise self._error(f"'{text}'")
-        return self._advance()
+        return self._step(tok)
 
     def _expect_kw(self, word: str) -> Token:
-        if not self.cur.is_kw(word):
+        tok = self.cur
+        if tok.value != word or tok.kind is not _KEYWORD:
             raise self._error(f"'{word}'")
-        return self._advance()
+        return self._step(tok)
 
     def _expect_id(self) -> Token:
-        if self.cur.kind is not TokenKind.ID:
+        tok = self.cur
+        if tok.kind is not _ID:
             raise self._error("an identifier")
-        return self._advance()
+        return self._step(tok)
 
     def _accept_op(self, text: str) -> bool:
-        if self.cur.is_op(text):
-            self._advance()
+        tok = self.cur
+        if tok.value == text and tok.kind is _OP:
+            self._step(tok)
             return True
         return False
 
     def _accept_kw(self, word: str) -> bool:
-        if self.cur.is_kw(word):
-            self._advance()
+        tok = self.cur
+        if tok.value == word and tok.kind is _KEYWORD:
+            self._step(tok)
             return True
         return False
 
@@ -115,7 +133,7 @@ class Parser:
 
     def parse(self) -> ast.SourceFile:
         modules = []
-        while self.cur.kind is not TokenKind.EOF:
+        while self.cur.kind is not _EOF:
             if self.cur.is_kw("module"):
                 modules.append(self.parse_module())
             else:
@@ -137,7 +155,7 @@ class Parser:
         self._expect_op(";")
         items: list[ast.Node] = []
         while not self.cur.is_kw("endmodule"):
-            if self.cur.kind is TokenKind.EOF:
+            if self.cur.kind is _EOF:
                 raise self._error("'endmodule'")
             items.extend(self.parse_module_item())
         self._advance()  # endmodule
@@ -189,8 +207,8 @@ class Parser:
 
     def _parse_port(self) -> ast.Port:
         tok = self.cur
-        if tok.kind is TokenKind.KEYWORD and tok.value in ("input", "output",
-                                                           "inout"):
+        if tok.kind is _KEYWORD and tok.value in ("input", "output",
+                                                  "inout"):
             direction = self._advance().value
             net_kind = None
             if self.cur.is_kw("reg") or self.cur.is_kw("wire"):
@@ -210,7 +228,7 @@ class Parser:
     def parse_module_item(self) -> list[ast.Node]:
         """Parse one module item; returns a list (a decl can be one node)."""
         tok = self.cur
-        if tok.kind is TokenKind.KEYWORD:
+        if tok.kind is _KEYWORD:
             if tok.value in ("input", "output", "inout"):
                 return [self._parse_port_decl()]
             if tok.value in _DECL_KINDS:
@@ -228,7 +246,7 @@ class Parser:
             if tok.value == "function":
                 return [self._parse_function()]
             raise self._error()
-        if tok.kind is TokenKind.ID:
+        if tok.kind is _ID:
             return [self._parse_instantiation()]
         raise self._error()
 
@@ -343,10 +361,10 @@ class Parser:
         name = self._expect_id().value
         self._expect_op(";")
         items: list[ast.Node] = []
-        while (self.cur.kind is TokenKind.KEYWORD
+        while (self.cur.kind is _KEYWORD
                and self.cur.value in ("input", "output", "inout")):
             items.append(self._parse_port_decl())
-        while (self.cur.kind is TokenKind.KEYWORD
+        while (self.cur.kind is _KEYWORD
                and self.cur.value in _DECL_KINDS):
             items.append(self._parse_decl())
         body = self.parse_statement()
@@ -404,73 +422,77 @@ class Parser:
 
     def parse_statement(self) -> ast.Stmt:
         tok = self.cur
-        if tok.is_op(";"):
-            self._advance()
-            return ast.NullStmt(line=tok.line)
-        if tok.is_kw("begin"):
-            return self._parse_block()
-        if tok.is_kw("if"):
-            return self._parse_if()
-        if tok.value in ("case", "casez", "casex") and \
-                tok.kind is TokenKind.KEYWORD:
-            return self._parse_case()
-        if tok.is_kw("for"):
-            return self._parse_for()
-        if tok.is_kw("while"):
-            self._advance()
-            self._expect_op("(")
-            cond = self.parse_expression()
-            self._expect_op(")")
-            return ast.WhileStmt(cond=cond, body=self.parse_statement(),
-                                 line=tok.line)
-        if tok.is_kw("repeat"):
-            self._advance()
-            self._expect_op("(")
-            count = self.parse_expression()
-            self._expect_op(")")
-            return ast.RepeatStmt(count=count, body=self.parse_statement(),
-                                  line=tok.line)
-        if tok.is_kw("forever"):
-            self._advance()
-            return ast.ForeverStmt(body=self.parse_statement(), line=tok.line)
-        if tok.is_kw("wait"):
-            self._advance()
-            self._expect_op("(")
-            cond = self.parse_expression()
-            self._expect_op(")")
-            stmt = None
-            if self.cur.is_op(";"):
-                self._advance()
-            else:
-                stmt = self.parse_statement()
-            return ast.WaitStmt(cond=cond, stmt=stmt, line=tok.line)
-        if tok.is_kw("disable"):
-            self._advance()
-            target = self._expect_id().value
-            self._expect_op(";")
-            return ast.DisableStmt(target=target, line=tok.line)
-        if tok.is_op("#"):
-            self._advance()
-            delay = self._parse_delay_value()
-            if self.cur.is_op(";"):
-                self._advance()
-                return ast.DelayStmt(delay=delay, stmt=None, line=tok.line)
-            return ast.DelayStmt(delay=delay, stmt=self.parse_statement(),
-                                 line=tok.line)
-        if tok.is_op("@"):
-            self._advance()
-            senslist = self._parse_senslist()
-            if self.cur.is_op(";"):
-                self._advance()
-                return ast.EventControlStmt(senslist=senslist, stmt=None,
-                                            line=tok.line)
-            return ast.EventControlStmt(senslist=senslist,
-                                        stmt=self.parse_statement(),
-                                        line=tok.line)
-        if tok.kind is TokenKind.SYSTEM_ID:
-            return self._parse_systask()
-        if tok.kind is TokenKind.ID or tok.is_op("{"):
+        kind, value = tok.kind, tok.value
+        if kind is _ID:
             return self._parse_assignment_or_call()
+        if kind is _KEYWORD:
+            if value == "begin":
+                return self._parse_block()
+            if value == "if":
+                return self._parse_if()
+            if value in ("case", "casez", "casex"):
+                return self._parse_case()
+            if value == "for":
+                return self._parse_for()
+            if value == "while":
+                self._advance()
+                self._expect_op("(")
+                cond = self.parse_expression()
+                self._expect_op(")")
+                return ast.WhileStmt(cond=cond, body=self.parse_statement(),
+                                     line=tok.line)
+            if value == "repeat":
+                self._advance()
+                self._expect_op("(")
+                count = self.parse_expression()
+                self._expect_op(")")
+                return ast.RepeatStmt(count=count,
+                                      body=self.parse_statement(),
+                                      line=tok.line)
+            if value == "forever":
+                self._advance()
+                return ast.ForeverStmt(body=self.parse_statement(),
+                                       line=tok.line)
+            if value == "wait":
+                self._advance()
+                self._expect_op("(")
+                cond = self.parse_expression()
+                self._expect_op(")")
+                stmt = None
+                if not self._accept_op(";"):
+                    stmt = self.parse_statement()
+                return ast.WaitStmt(cond=cond, stmt=stmt, line=tok.line)
+            if value == "disable":
+                self._advance()
+                target = self._expect_id().value
+                self._expect_op(";")
+                return ast.DisableStmt(target=target, line=tok.line)
+        elif kind is _OP:
+            if value == ";":
+                self._advance()
+                return ast.NullStmt(line=tok.line)
+            if value == "#":
+                self._advance()
+                delay = self._parse_delay_value()
+                if self._accept_op(";"):
+                    return ast.DelayStmt(delay=delay, stmt=None,
+                                         line=tok.line)
+                return ast.DelayStmt(delay=delay,
+                                     stmt=self.parse_statement(),
+                                     line=tok.line)
+            if value == "@":
+                self._advance()
+                senslist = self._parse_senslist()
+                if self._accept_op(";"):
+                    return ast.EventControlStmt(senslist=senslist,
+                                                stmt=None, line=tok.line)
+                return ast.EventControlStmt(senslist=senslist,
+                                            stmt=self.parse_statement(),
+                                            line=tok.line)
+            if value == "{":
+                return self._parse_assignment_or_call()
+        elif kind is _SYSTEM_ID:
+            return self._parse_systask()
         raise self._error("a statement")
 
     def _parse_block(self) -> ast.Block:
@@ -480,11 +502,11 @@ class Parser:
             name = self._expect_id().value
         stmts: list[ast.Stmt] = []
         # Named blocks may declare local variables (integer i; reg tmp; ...).
-        while (self.cur.kind is TokenKind.KEYWORD
+        while (self.cur.kind is _KEYWORD
                and self.cur.value in _DECL_KINDS):
             stmts.append(self._parse_decl())
         while not self.cur.is_kw("end"):
-            if self.cur.kind is TokenKind.EOF:
+            if self.cur.kind is _EOF:
                 raise self._error("'end'")
             stmts.append(self.parse_statement())
         self._advance()  # end
@@ -510,7 +532,7 @@ class Parser:
         self._expect_op(")")
         items: list[ast.CaseItem] = []
         while not self.cur.is_kw("endcase"):
-            if self.cur.kind is TokenKind.EOF:
+            if self.cur.kind is _EOF:
                 raise self._error("'endcase'")
             items.append(self._parse_case_item())
         self._advance()  # endcase
@@ -563,7 +585,7 @@ class Parser:
 
     def _parse_assignment_or_call(self) -> ast.Stmt:
         line = self.cur.line
-        if self.cur.kind is TokenKind.ID:
+        if self.cur.kind is _ID:
             nxt = self._peek()
             # Task call: "name;" or "name(args);" where '(' is not part of
             # an lvalue (lvalues never start with '(' after the name).
@@ -623,10 +645,10 @@ class Parser:
 
     def _parse_delay_value(self) -> ast.Expr:
         tok = self.cur
-        if tok.kind is TokenKind.NUMBER:
+        if tok.kind is _NUMBER:
             self._advance()
             return _number_from_token(tok)
-        if tok.kind is TokenKind.ID:
+        if tok.kind is _ID:
             self._advance()
             return ast.Identifier(name=tok.value, line=tok.line)
         if tok.is_op("("):
@@ -655,7 +677,7 @@ class Parser:
         left = self._parse_unary()
         while True:
             tok = self.cur
-            if tok.kind is not TokenKind.OP:
+            if tok.kind is not _OP:
                 return left
             prec = _BINARY_PRECEDENCE.get(tok.value)
             if prec is None or prec < min_prec:
@@ -667,7 +689,7 @@ class Parser:
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.cur
-        if tok.kind is TokenKind.OP and tok.value in _UNARY_OPS:
+        if tok.kind is _OP and tok.value in _UNARY_OPS:
             self._advance()
             operand = self._parse_unary()
             return ast.Unary(op=tok.value, operand=operand, line=tok.line)
@@ -675,15 +697,15 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         tok = self.cur
-        if tok.kind is TokenKind.NUMBER:
+        if tok.kind is _NUMBER:
             self._advance()
             if "." in tok.value and "'" not in tok.value:
                 return ast.RealLiteral(text=tok.value, line=tok.line)
             return _number_from_token(tok)
-        if tok.kind is TokenKind.STRING:
+        if tok.kind is _STRING:
             self._advance()
             return ast.StringLiteral(value=tok.value, line=tok.line)
-        if tok.kind is TokenKind.SYSTEM_ID:
+        if tok.kind is _SYSTEM_ID:
             self._advance()
             args: list[ast.Expr] = []
             if self._accept_op("("):
@@ -694,7 +716,7 @@ class Parser:
                 self._expect_op(")")
             return ast.FunctionCall(name=tok.value, args=args,
                                     is_system=True, line=tok.line)
-        if tok.kind is TokenKind.ID:
+        if tok.kind is _ID:
             return self._parse_id_expression()
         if tok.is_op("("):
             self._advance()

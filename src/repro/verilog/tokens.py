@@ -4,12 +4,16 @@ The lexer produces a flat list of :class:`Token`.  Token *kinds* are coarse
 (identifier, number, keyword, operator, …); the ``value`` field carries the
 exact source text so the unparser and the mutation engine can round-trip
 token streams losslessly.
+
+A :class:`Token` is a named tuple: immutable, hashable, picklable and
+cheap to build, which matters because the lexer builds one per token of
+every text it sees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -23,6 +27,10 @@ class TokenKind(Enum):
     SYSTEM_ID = "system identifier"   # $display, $time, ...
     EOF = "end of file"
 
+
+# Module-level aliases: fetching an enum member through its class costs
+# more than the comparison it feeds.
+_KEYWORD, _OP, _EOF = TokenKind.KEYWORD, TokenKind.OP, TokenKind.EOF
 
 #: Verilog-2001 keywords recognised by the parser.  This is the subset that
 #: covers synthesisable RTL plus the testbench constructs our simulator runs.
@@ -50,8 +58,7 @@ MULTI_CHAR_OPS = (
 SINGLE_CHAR_OPS = "+-*/%&|^~!<>=?:;,.#@()[]{}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position (1-based)."""
 
     kind: TokenKind
@@ -60,13 +67,13 @@ class Token:
     col: int
 
     def is_op(self, text: str) -> bool:
-        return self.kind is TokenKind.OP and self.value == text
+        return self.kind is _OP and self.value == text
 
     def is_kw(self, word: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.value == word
+        return self.kind is _KEYWORD and self.value == word
 
     def describe(self) -> str:
         """Human-readable rendering used in syntax-error messages."""
-        if self.kind is TokenKind.EOF:
+        if self.kind is _EOF:
             return "$end"
         return f"'{self.value}'"

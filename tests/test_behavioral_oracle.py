@@ -71,6 +71,42 @@ class TestCorruption:
             assert corrupt_functionally(REFERENCE, seed) == \
                 corrupt_functionally.__wrapped__(REFERENCE, seed)
 
+    def test_first_attempt_reuses_the_canonical_parse(self, monkeypatch):
+        import random
+
+        from repro.bench import thakur_suite
+        from repro.llm import behavioral
+        from repro.verilog import parse, unparse
+
+        def two_parse_form(text, seed, attempts=5, edits=2):
+            # Canonical form and every attempt on separate parses; returns
+            # the result and how many parses a parse-once form needs.
+            canonical = unparse(parse(text))
+            for attempt in range(attempts):
+                source = parse(text)
+                rng = random.Random(seed + attempt * 7919)
+                if behavioral._functional_edits(source, rng, count=edits):
+                    mutated = unparse(source)
+                    if mutated != canonical:
+                        return mutated, attempt + 1
+            return text, attempts
+
+        parsed = []
+
+        def counting_parse(text, filename="<input>"):
+            parsed.append(text)
+            return parse(text, filename)
+
+        monkeypatch.setattr(behavioral, "parse", counting_parse)
+        texts = [REFERENCE] + [p.reference for p in thakur_suite()[:6]]
+        for text in texts:
+            for seed in range(4):
+                expected, parses = two_parse_form(text, seed)
+                parsed.clear()
+                assert corrupt_functionally.__wrapped__(text, seed) == \
+                    expected
+                assert len(parsed) == parses
+
     def test_syntax_corruption_breaks_checker(self):
         broken = 0
         for seed in range(8):

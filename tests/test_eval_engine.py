@@ -177,6 +177,25 @@ class TestInMemoryLayer:
         assert len(verilog_eval._CACHE) == 0
 
 
+class TestTaskKeys:
+    def test_keys_are_computed_only_for_a_cache(self, monkeypatch,
+                                                tmp_path):
+        calls = []
+        key = EvalTask.key
+
+        def counting_key(task):
+            calls.append(task)
+            return key(task)
+
+        monkeypatch.setattr(EvalTask, "key", counting_key)
+        expected = _rendered(EvalEngine(jobs=1))
+        assert calls == []
+        clear_cache()
+        cached = EvalEngine(jobs=1, cache_dir=str(tmp_path / "cache"))
+        assert _rendered(cached) == expected
+        assert len(calls) == cached.stats.tasks > 0
+
+
 class TestPassAtK:
     @pytest.fixture(scope="class")
     def report(self):

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.bench import rtllm_suite, thakur_suite
-from repro.checker import check_source
+from repro.checker import check_source, check_source_tree
 from repro.eval import (EvalEngine, case_seed, clear_cache,
                         evaluate_repair_cell, make_broken_case)
 from repro.eval import verilog_eval
@@ -61,13 +61,13 @@ def test_duplicates_in_a_batch_are_evaluated_once(monkeypatch):
 
     def counting_check(code, filename):
         checked.append(code)
-        return check_source(code, filename)
+        return check_source_tree(code, filename)
 
-    def counting_batch(codes, testbench):
+    def counting_batch(codes, testbench, trees=None):
         simulated.append(list(codes))
         return [run_testbench(code, testbench) for code in codes]
 
-    monkeypatch.setattr(verilog_eval, "check_source", counting_check)
+    monkeypatch.setattr(verilog_eval, "check_source_tree", counting_check)
     monkeypatch.setattr(verilog_eval, "run_testbench_batch",
                         counting_batch)
     clear_cache()
@@ -78,6 +78,36 @@ def test_duplicates_in_a_batch_are_evaluated_once(monkeypatch):
                                               False]
     assert [r.passed for r in results] == [True, True, False, True,
                                            False]
+
+
+def test_candidates_and_testbench_are_parsed_once(monkeypatch):
+    from repro.checker import lint
+    from repro.sim import clear_memo, testbench
+    from repro.verilog import parse
+
+    problem = thakur_suite()[0]
+    ref = problem.reference
+    other = ref + "\n// the same design, another text\n"
+    parsed = []
+
+    def counting_parse(text, filename="<input>"):
+        parsed.append(text)
+        return parse(text, filename)
+
+    monkeypatch.setattr(lint, "parse", counting_parse)
+    monkeypatch.setattr(testbench, "parse", counting_parse)
+    clear_cache()
+    clear_memo()
+    try:
+        first = evaluate_candidates([ref, ref], problem)
+        second = evaluate_candidates([other], problem)
+    finally:
+        clear_memo()
+    assert [r.passed for r in first + second] == [True, True, True]
+    assert parsed.count(ref) == 1
+    assert parsed.count(other) == 1
+    assert parsed.count(problem.testbench) == 1
+    assert len(parsed) == 3
 
 
 def _per_candidate_repair_cell(model, case) -> RepairCell:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.sim import (backend_stats, clear_memo, reset_backend_stats,
                        run_simulation, run_testbench, run_testbench_batch)
+from repro.sim import testbench
+from repro.verilog import parse, unparse
 
 SIMPLE = """
 module tb;
@@ -115,3 +117,57 @@ class TestBatchStimulus:
         verdicts = run_testbench_batch([DESIGN, DESIGN], "endmodule !")
         assert len(verdicts) == 2
         assert all(not v.ok and v.error for v in verdicts)
+
+
+def _verdicts(batch):
+    return [(v.ok, v.passed, v.failed, v.error) for v in batch]
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    """Record every text the simulator module parses."""
+    parsed = []
+
+    def counting_parse(text, filename="<input>"):
+        parsed.append(text)
+        return parse(text, filename)
+
+    monkeypatch.setattr(testbench, "parse", counting_parse)
+    return parsed
+
+
+class TestBenchTrees:
+    def test_bench_is_parsed_once_across_batches(self, monkeypatch):
+        parsed = _count_parses(monkeypatch)
+        run_testbench_batch([DESIGN], BENCH)
+        run_testbench_batch([DESIGN, DESIGN], BENCH)
+        assert parsed.count(BENCH) == 1
+        assert parsed.count(DESIGN) == 3
+
+    def test_simulations_leave_the_memoised_tree_unchanged(self):
+        wrong = DESIGN.replace("a + 4'd1", "a + 4'd2")
+        run_testbench_batch([DESIGN], BENCH)
+        tree = testbench._bench_tree(BENCH)
+        before = unparse(tree)
+        verdicts = run_testbench_batch([DESIGN, wrong], BENCH)
+        assert [v.all_passed for v in verdicts] == [True, False]
+        assert testbench._bench_tree(BENCH) is tree
+        assert unparse(tree) == before
+
+    def test_clear_memo_drops_the_bench_trees(self):
+        run_testbench_batch([DESIGN], BENCH)
+        assert testbench._bench_tree.cache_info().currsize == 1
+        clear_memo()
+        assert testbench._bench_tree.cache_info().currsize == 0
+
+    def test_given_trees_match_parsing(self, monkeypatch):
+        wrong = DESIGN.replace("a + 4'd1", "a + 4'd2")
+        texts = [DESIGN, wrong, DESIGN]
+        trees = [parse(DESIGN), None, parse(DESIGN)]
+        before = [unparse(tree) for tree in trees if tree is not None]
+        expected = _verdicts(run_testbench_batch(texts, BENCH))
+        parsed = _count_parses(monkeypatch)
+        assert _verdicts(run_testbench_batch(texts, BENCH,
+                                             trees=trees)) == expected
+        assert parsed == [wrong]
+        assert [unparse(tree) for tree in trees if tree is not None] == \
+            before

@@ -12,6 +12,7 @@ change is intended, by running this file as a script::
 import hashlib
 import json
 import os
+import pickle
 import sys
 import threading
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.verilog import TokenKind, VerilogLexError, tokenize
+from repro.verilog import Token, TokenKind, VerilogLexError, tokenize
 from repro.verilog import lexer
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -32,6 +33,46 @@ def kinds(text):
 
 def values(text):
     return [t.value for t in tokenize(text)[:-1]]
+
+
+class TestTokenSurface:
+    def test_fields_and_helpers(self):
+        semi = Token(TokenKind.OP, ";", 3, 7)
+        assert (semi.kind, semi.value, semi.line, semi.col) == \
+            (TokenKind.OP, ";", 3, 7)
+        assert semi.is_op(";") and not semi.is_op(",")
+        assert not semi.is_kw(";")
+        keyword = Token(TokenKind.KEYWORD, "module", 1, 1)
+        assert keyword.is_kw("module") and not keyword.is_op("module")
+        assert keyword.describe() == "'module'"
+        assert Token(TokenKind.EOF, "", 2, 1).describe() == "$end"
+
+    def test_lexer_builds_tokens(self):
+        toks = tokenize("module m; endmodule")
+        assert all(type(tok) is Token for tok in toks)
+        assert toks[2] == Token(TokenKind.OP, ";", 1, 9)
+
+    def test_hashable_and_equal_by_value(self):
+        first = tokenize("assign y = a;")
+        second = tokenize("assign y = a;")
+        assert first == second
+        assert {hash(tok) for tok in first} == {hash(tok) for tok in second}
+        assert len(set(first + second)) == len(first)
+
+    def test_pickle_round_trip(self):
+        toks = tokenize("module m; wire [3:0] w; endmodule")
+        again = pickle.loads(pickle.dumps(toks))
+        assert again == toks
+        assert all(type(tok) is Token for tok in again)
+        assert again[0].kind is TokenKind.KEYWORD
+
+    def test_immutable(self):
+        tok = tokenize("wire")[0]
+        with pytest.raises(AttributeError):
+            tok.value = "reg"
+        with pytest.raises(TypeError):
+            tok[1] = "reg"
+        assert tok.value == "wire"
 
 
 class TestBasicTokens:
