@@ -7,9 +7,8 @@ Commands mirror the tool chain a user drives interactively:
 * ``simulate``  — run a (testbench-containing) file, optional VCD out
 * ``synth``     — gate-level synthesis report
 * ``flow``      — full RTL-to-GDS flow + PPA report
-* ``augment``   — run the augmentation pipeline over Verilog files
-* ``augment-dist`` — sharded/parallel/cache-aware augmentation
-  over files or directories (``--jobs``, ``--cache-dir``)
+* ``augment``   — sharded/parallel/cache-aware augmentation over
+  Verilog files or directories (``--jobs``, ``--cache-dir``)
 * ``agent``     — run the Fig-1 agent loop on a named benchmark problem
 * ``train``     — checkpointed finetuning over a corpus
   (``repro.train``): loads through the shard cache, resumes from
@@ -112,19 +111,16 @@ def _augment_config(args: argparse.Namespace):
     return PipelineConfig(seed=args.seed)
 
 
-def _run_augment(args: argparse.Namespace, paths: list[str]) -> int:
-    """Shared driver for ``augment`` and ``augment-dist``.
-
-    Both stream files through :mod:`repro.scale` — sources are read
+def cmd_augment(args: argparse.Namespace) -> int:
+    """Stream files through :mod:`repro.scale` — sources are read
     per-shard inside the workers, never held in memory as one corpus —
     and merge in canonical (content-digest) order, so serial and
-    distributed runs write byte-identical JSONL.
-    """
+    parallel runs write byte-identical JSONL."""
     from .core import dataset_stats, render_table2
     from .scale import augment_distributed
     from .scale.store import DEFAULT_NUM_SHARDS
     report = augment_distributed(
-        paths, config=_augment_config(args), jobs=args.jobs,
+        list(args.paths), config=_augment_config(args), jobs=args.jobs,
         cache_dir=args.cache_dir,
         num_shards=(args.shards if args.shards is not None
                     else DEFAULT_NUM_SHARDS))
@@ -134,14 +130,6 @@ def _run_augment(args: argparse.Namespace, paths: list[str]) -> int:
         report.dataset.save(args.out)
         print(f"-- wrote {len(report.dataset)} records to {args.out}")
     return 0
-
-
-def cmd_augment(args: argparse.Namespace) -> int:
-    return _run_augment(args, list(args.files))
-
-
-def cmd_augment_dist(args: argparse.Namespace) -> int:
-    return _run_augment(args, list(args.paths))
 
 
 def cmd_agent(args: argparse.Namespace) -> int:
@@ -676,31 +664,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clock period in ns")
     p.set_defaults(fn=cmd_flow)
 
-    def add_augment_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write records as JSONL")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--completion-only", action="store_true",
-                       help="ablation baseline (general aug)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (default 1 = serial)")
-        p.add_argument("--cache-dir",
-                       help="shard result cache; re-runs only recompute "
-                            "dirty shards")
-        p.add_argument("--shards", type=int, default=None,
-                       help="shard count for the corpus store")
-
     p = sub.add_parser("augment", help="run the augmentation pipeline")
-    p.add_argument("files", nargs="+")
-    add_augment_options(p)
-    p.set_defaults(fn=cmd_augment)
-
-    p = sub.add_parser("augment-dist",
-                       help="sharded/parallel/incremental augmentation "
-                            "over files or directories")
     p.add_argument("paths", nargs="+",
                    help="Verilog files and/or directories to walk")
-    add_augment_options(p)
-    p.set_defaults(fn=cmd_augment_dist)
+    p.add_argument("--out", help="write records as JSONL")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--completion-only", action="store_true",
+                   help="ablation baseline (general aug)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1 = serial)")
+    p.add_argument("--cache-dir",
+                   help="shard result cache; re-runs only recompute "
+                        "dirty shards")
+    p.add_argument("--shards", type=int, default=None,
+                   help="shard count for the corpus store")
+    p.set_defaults(fn=cmd_augment)
 
     def add_train_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--epochs", type=int, default=None)

@@ -25,14 +25,10 @@ class LoRAAdapter:
         # A is random, B starts at zero → adapter starts as identity.
         self.A = Param(rng.normal(0, 1.0 / np.sqrt(d_in), (rank, d_in)))
         self.B = Param(np.zeros((d_out, rank)))
-        self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return (x @ self.A.value.T) @ self.B.value.T * self.scaling
-
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        x = self._x
+    def backward(self, grad_y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Gradient of the delta (applied by ``Linear.apply``) at the
+        input ``x`` its :class:`Linear` cached."""
         flat_x = x.reshape(-1, x.shape[-1])
         flat_g = grad_y.reshape(-1, grad_y.shape[-1]) * self.scaling
         xa = flat_x @ self.A.value.T                      # (N, r)

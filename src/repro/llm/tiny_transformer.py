@@ -10,6 +10,14 @@ Architecture: token + positional embeddings → N pre-LN blocks (causal
 multi-head attention, ReLU MLP) → LN → output projection.  LoRA adapters
 (:mod:`repro.llm.lora`) can be attached to the attention projections so
 finetuning updates only low-rank factors, as the paper does with LoraNet.
+
+Training runs the modules' ``forward``/``backward``, which cache their
+inputs for backprop.  Inference runs the module-level :func:`forward`,
+which caches nothing in the modules and serves ``generate()`` and all
+three decode regimes of :mod:`repro.infer.decode` (prefill, KV-cache step
+and sliding window).  Both paths share one copy of the arithmetic:
+:meth:`Linear.apply` (LoRA delta included), :meth:`LayerNorm._normalize`
+and :func:`attention_probs`; :func:`pick` is the one token sampler.
 """
 
 from __future__ import annotations
@@ -50,15 +58,11 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        y = x @ self.weight.value.T + self.bias.value
-        if self.lora is not None:
-            y = y + self.lora.forward(x)
-        return y
+        return self.apply(x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward: same arithmetic as :meth:`forward`
-        (same expression order, so results are bit-identical) without
-        caching ``x`` — safe to call concurrently and mid-training."""
+        """The arithmetic of :meth:`forward` without caching ``x`` —
+        safe to call concurrently and mid-training."""
         y = x @ self.weight.value.T + self.bias.value
         if self.lora is not None:
             y = y + (x @ self.lora.A.value.T) @ self.lora.B.value.T \
@@ -74,7 +78,7 @@ class Linear:
             self.bias.grad += flat_g.sum(axis=0)
         grad_x = grad_y @ self.weight.value
         if self.lora is not None:
-            grad_x = grad_x + self.lora.backward(grad_y)
+            grad_x = grad_x + self.lora.backward(grad_y, x)
         return grad_x
 
     def params(self) -> list[Param]:
@@ -91,20 +95,21 @@ class LayerNorm:
         self.eps = 1e-5
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _normalize(self, x: np.ndarray):
+        """(output, xhat, var); statistics are row-local."""
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         xhat = (x - mu) / np.sqrt(var + self.eps)
+        return xhat * self.gamma.value + self.beta.value, xhat, var
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        y, xhat, var = self._normalize(x)
         self._cache = (xhat, var)
-        return xhat * self.gamma.value + self.beta.value
+        return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward, bit-identical to :meth:`forward`
-        (statistics are row-local) without touching ``_cache``."""
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        xhat = (x - mu) / np.sqrt(var + self.eps)
-        return xhat * self.gamma.value + self.beta.value
+        """:meth:`forward` without touching ``_cache``."""
+        return self._normalize(x)[0]
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         xhat, var = self._cache
@@ -121,6 +126,20 @@ class LayerNorm:
 
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]
+
+
+def attention_probs(q: np.ndarray, k: np.ndarray,
+                    mask: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(d_head)) over split heads (B, H, T, d_head),
+    with the keys where ``mask`` is true set to -1e9 first.  After the
+    max-subtraction those exp to an exact 0.0, so masked keys add
+    nothing to ``probs @ v``."""
+    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(q.shape[-1]))
+    scores = np.where(mask, -1e9, scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 class CausalSelfAttention:
@@ -149,20 +168,15 @@ class CausalSelfAttention:
         q = self._split(self.q_proj.forward(x))
         k = self._split(self.k_proj.forward(x))
         v = self._split(self.v_proj.forward(x))
-        scale = 1.0 / np.sqrt(self.d_head)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale
         seq = x.shape[1]
-        mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-        scores = np.where(mask, -1e9, scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        context = probs @ v
-        self._cache = (q, k, v, probs, scale)
-        return self.out_proj.forward(self._merge(context))
+        probs = attention_probs(
+            q, k, np.triu(np.ones((seq, seq), dtype=bool), k=1))
+        self._cache = (q, k, v, probs)
+        return self.out_proj.forward(self._merge(probs @ v))
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        q, k, v, probs, scale = self._cache
+        q, k, v, probs = self._cache
+        scale = 1.0 / np.sqrt(self.d_head)
         grad_context = self._split(self.out_proj.backward(grad_y))
         grad_probs = grad_context @ v.transpose(0, 1, 3, 2)
         grad_v = probs.transpose(0, 1, 3, 2) @ grad_context
@@ -353,21 +367,15 @@ class TinyTransformerLM:
         rng = np.random.default_rng(seed)
         out = list(prefix)
         for _ in range(max_tokens):
-            window = out[-self.config.max_len:]
-            logits = forward(self, np.array([window]), last_only=True)[0]
-            if temperature <= 0:
-                out.append(int(logits.argmax()))
-            else:
-                scaled = logits / temperature
-                scaled -= scaled.max()
-                probs = np.exp(scaled)
-                probs /= probs.sum()
-                out.append(int(rng.choice(len(probs), p=probs)))
+            window = np.array([out[-self.config.max_len:]])
+            out.append(pick(forward(self, window, last_only=True)[0],
+                            temperature, rng))
         return out
 
 
 def forward(model: TinyTransformerLM, ids: np.ndarray, *,
-            last_only: bool = False, return_kv: bool = False):
+            positions: np.ndarray | None = None, cache=None,
+            last_only: bool = False) -> np.ndarray:
     """Side-effect-free inference forward over ``ids`` (B, T).
 
     Same arithmetic as :meth:`TinyTransformerLM.forward` (LoRA adapters
@@ -375,40 +383,66 @@ def forward(model: TinyTransformerLM, ids: np.ndarray, *,
     written to the model's backprop caches and concurrent calls are
     safe.  Returns (B, T, V) logits, or (B, V) for the last position
     with ``last_only``: the last block still projects keys/values for
-    the whole window, but its queries, attention, MLP, final LN and head
-    run for the last position only.  With ``return_kv`` the result is
-    ``(logits, layer_kv)``, each layer's split keys/values
-    ``(B, H, T, d_head)`` — what the KV-cache prefill stores.
+    every position, but its queries, attention, MLP, final LN and head
+    run for the last position only.
+
+    ``positions`` are the tokens' absolute positions, ``0..T-1`` by
+    default, or (B, T) for per-row positions.  With ``cache=(layer_kv,
+    rows)`` — per layer a ``(keys, values)`` pair of (N, H, max_len,
+    d_head) arrays — the new keys/values are stored at ``rows ×
+    positions`` and each query attends over its row's cached prefix;
+    without it, over ``ids`` themselves.  Either way a key is masked
+    when its position is greater than the query's.
     """
-    x = model.tok_emb.value[ids] + model.pos_emb.value[:ids.shape[1]]
-    seq = ids.shape[1]
-    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    layer_kv = []
+    if positions is None:
+        positions = np.arange(ids.shape[1])
+    x = model.tok_emb.value[ids] + model.pos_emb.value[positions]
+    key_positions = positions
+    if cache is not None:
+        layer_kv, rows = cache
+        key_positions = np.arange(int(positions.max()) + 1)
+    # (1, T, W) for shared positions, (B, 1, T, W) for per-row ones;
+    # either broadcasts over the heads of the (B, H, T, W) scores.
+    mask = np.expand_dims(key_positions[..., None, :]
+                          > positions[..., None], -3)
     last = len(model.blocks) - 1
     for index, block in enumerate(model.blocks):
         attn = block.attn
         h = block.ln1.apply(x)
         k = attn._split(attn.k_proj.apply(h))
         v = attn._split(attn.v_proj.apply(h))
-        layer_kv.append((k, v))
+        if cache is not None:
+            cache_k, cache_v = layer_kv[index]
+            slots = (rows[:, None], slice(None), positions)
+            cache_k[slots] = k.transpose(0, 2, 1, 3)
+            cache_v[slots] = v.transpose(0, 2, 1, 3)
+            k = cache_k[rows][:, :, :key_positions.size, :]
+            v = cache_v[rows][:, :, :key_positions.size, :]
         if last_only and index == last:
-            # Keys/values above cover the whole window; the query and
-            # everything after it narrow to the last position.
-            x, h, mask = x[:, -1:], h[:, -1:], mask[-1:]
+            # Keys/values above cover every position; the query and
+            # everything after it narrow to the last one.
+            x, h, mask = x[:, -1:], h[:, -1:], mask[..., -1:, :]
         q = attn._split(attn.q_proj.apply(h))
-        scale = 1.0 / np.sqrt(attn.d_head)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale
-        scores = np.where(mask, -1e9, scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        x = x + attn.out_proj.apply(attn._merge(probs @ v))
+        x = x + attn.out_proj.apply(
+            attn._merge(attention_probs(q, k, mask) @ v))
         hidden = block.mlp.fc1.apply(block.ln2.apply(x))
         x = x + block.mlp.fc2.apply(np.maximum(hidden, 0.0))
     logits = model.head.apply(model.ln_final.apply(x))
-    if last_only:
-        logits = logits[:, -1]
-    return (logits, layer_kv) if return_kv else logits
+    return logits[:, -1] if last_only else logits
+
+
+def pick(logits: np.ndarray, temperature: float,
+         rng: np.random.Generator) -> int:
+    """One token id from a (V,) logits row: the argmax when
+    ``temperature <= 0``, else one ``rng`` draw from
+    ``softmax(logits / temperature)``."""
+    if temperature <= 0:
+        return int(logits.argmax())
+    scaled = logits / temperature
+    scaled -= scaled.max()
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    return int(rng.choice(len(probs), p=probs))
 
 
 class Adam:

@@ -9,7 +9,7 @@ evaluation engine (:mod:`repro.eval.engine`) builds on:
   (augmentation shards), :class:`LRUCache` (bounded in-memory layer)
 * :mod:`runner`  — :class:`WorkPool` (generic) + :class:`ShardRunner`
 * :mod:`report`  — merged :class:`ScaleReport` (a ``PipelineReport``)
-* :mod:`service` — the orchestrator behind ``repro augment-dist``
+* :mod:`service` — the orchestrator behind ``repro augment``
 
 Output is order-, parallelism- and cache-invariant: see
 ``ROADMAP.md`` ("repro.scale architecture") for the guarantees.

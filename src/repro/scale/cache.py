@@ -11,7 +11,7 @@ discards the whole cache.
 Two subclasses specialise the payload encoding:
 
 * :class:`ResultCache` — augmentation shards (``digest -> records`` in
-  JSONL, one line per source file), used by ``repro augment-dist``;
+  JSONL, one line per source file), used by ``repro augment``;
 * ``repro.eval.engine.EvalCache`` — one JSON blob per benchmark cell.
 
 Invalidation rules (see ROADMAP "repro.scale architecture"):

@@ -3,7 +3,7 @@
 ``ScaleReport`` *is a* :class:`~repro.core.PipelineReport` — everything
 downstream (``dataset_stats``, ``render_table2``, the experiment
 drivers) consumes it unchanged — plus the shard/cache accounting that
-the ``augment-dist`` CLI and the scale benchmark print.
+the ``augment`` CLI and the scale benchmark print.
 """
 
 from __future__ import annotations

@@ -149,29 +149,9 @@ def _train_blob(spec: dict, workdir: str, jobs: int) -> dict:
             "artifact": artifact}
 
 
-def _resolve_trained(spec: dict,
-                     resolve: Callable[[str], dict | None] | None) -> None:
-    """Register the trained model an evaluate spec depends on."""
-    from ..llm import register_artifact
-    trained = spec.get("trained")
-    if trained is None:
-        return
-    blob = resolve(trained["job"]) if resolve is not None else None
-    if blob is None or "artifact" not in blob:
-        raise RuntimeError(
-            f"trained model '{trained['name']}' needs the artefact of "
-            f"job {trained['job']}, which has no result")
-    artifact = blob["artifact"]
-    if artifact.get("name") != trained["name"]:
-        raise RuntimeError(
-            f"job {trained['job']} trained "
-            f"'{artifact.get('name')}', not '{trained['name']}'")
-    register_artifact(artifact)
-
-
-def _trained_weights(spec: dict,
-                     resolve: Callable[[str], dict | None] | None) -> dict:
-    """The weights bundle the spec's ``trained`` reference points at."""
+def _trained_artifact(spec: dict,
+                      resolve: Callable[[str], dict | None] | None) -> dict:
+    """The artefact of the job the spec's ``trained`` reference names."""
     trained = spec["trained"]
     blob = resolve(trained["job"]) if resolve is not None else None
     if blob is None or "artifact" not in blob:
@@ -183,12 +163,15 @@ def _trained_weights(spec: dict,
         raise RuntimeError(
             f"job {trained['job']} trained "
             f"'{artifact.get('name')}', not '{trained['name']}'")
-    weights = artifact.get("weights")
-    if weights is None:
-        raise RuntimeError(
-            f"artefact of job {trained['job']} carries no weights "
-            "bundle (trained by a pre-inference repro.train?)")
-    return weights
+    return artifact
+
+
+def _resolve_trained(spec: dict,
+                     resolve: Callable[[str], dict | None] | None) -> None:
+    """Register the trained model an evaluate spec depends on."""
+    from ..llm import register_artifact
+    if spec.get("trained") is not None:
+        register_artifact(_trained_artifact(spec, resolve))
 
 
 def _execute_infer(jobs: list[Job],
@@ -205,7 +188,11 @@ def _execute_infer(jobs: list[Job],
     """
     from ..infer import sample_tokens, shared_host
     from ..train.data import stable_seed
-    weights = _trained_weights(jobs[0].spec, resolve)
+    weights = _trained_artifact(jobs[0].spec, resolve).get("weights")
+    if weights is None:
+        raise RuntimeError(
+            f"artefact of job {jobs[0].spec['trained']['job']} carries no "
+            "weights bundle (trained by a pre-inference repro.train?)")
     loaded = shared_host().load_bundle(weights)
     tokenizer = loaded.tokenizer
     rows, temps, seeds, spans = [], [], [], []

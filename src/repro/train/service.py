@@ -351,7 +351,8 @@ class TrainerService:
         save(done_steps)            # final (or interruption) checkpoint
         return TrainReport(
             steps=done_steps, epochs=val_done, records=len(capped),
-            trained_tokens=sum(len(s) for s in sequences),
+            trained_tokens=sum(min(len(s), config.seq_len + 1) - 1
+                               for s in sequences if len(s) >= 2),
             losses=losses, val_losses=val_losses,
             weights_sha256=state_digest(model_state(model)),
             dataset_digest=digest, completed=completed,

@@ -130,9 +130,28 @@ class TestFixedEquivalence:
         assert last.shape == (3, 48)
         np.testing.assert_allclose(last, full[:, -1], rtol=1e-12,
                                    atol=1e-12)
-        logits, layer_kv = forward(model, ids, return_kv=True)
-        np.testing.assert_array_equal(logits, full)
-        assert [k.shape for k, _ in layer_kv] == [(3, 4, 24, 8)] * n_layers
+        # The cache path: prefill right-padded rows of different
+        # lengths, then step each row at its own position; every row of
+        # logits equals the full-window forward's row at that position.
+        lengths = np.array([5, 11, 8])
+        prefill = np.where(np.arange(11) < lengths[:, None], ids[:, :11], 0)
+        caches = [(np.zeros((3, 4, 24, 8)), np.zeros((3, 4, 24, 8)))
+                  for _ in range(n_layers)]
+        rows = np.arange(3)
+        logits = forward(model, prefill, cache=(caches, rows))
+        for row, length in enumerate(lengths):
+            np.testing.assert_allclose(logits[row, :length],
+                                       full[row, :length], rtol=1e-12,
+                                       atol=1e-12)
+        for step in range(6):
+            positions = lengths + step
+            # The last step leaves row 1 out: rows pick the cache rows.
+            live = rows if step < 5 else np.array([0, 2])
+            logits = forward(model, ids[live, positions[live]][:, None],
+                             positions=positions[live][:, None],
+                             cache=(caches, live), last_only=True)
+            np.testing.assert_allclose(logits, full[live, positions[live]],
+                                       rtol=1e-12, atol=1e-12)
 
     def test_empty_prompt_rejected(self):
         model = _model()

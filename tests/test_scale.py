@@ -198,7 +198,7 @@ class TestCli:
         dist_out = str(tmp_path / "dist.jsonl")
         assert main(["augment", *_paths(corpus_dir),
                      "--out", serial_out]) == 0
-        assert main(["augment-dist", str(corpus_dir), "--jobs", "4",
+        assert main(["augment", str(corpus_dir), "--jobs", "4",
                      "--cache-dir", str(tmp_path / ".cache"),
                      "--out", dist_out]) == 0
         capsys.readouterr()
@@ -209,8 +209,8 @@ class TestCli:
                                         capsys):
         from repro.cli import main
         cache = str(tmp_path / ".cache")
-        main(["augment-dist", str(corpus_dir), "--cache-dir", cache])
-        main(["augment-dist", str(corpus_dir), "--cache-dir", cache])
+        main(["augment", str(corpus_dir), "--cache-dir", cache])
+        main(["augment", str(corpus_dir), "--cache-dir", cache])
         output = capsys.readouterr().out
         assert "0 miss(es)" in output
         assert "0 computed" in output

@@ -23,9 +23,12 @@ from hypothesis import strategies as st
 
 from repro.core import PipelineConfig
 from repro.core.records import Dataset, Task, make_record
+from repro.llm.tokenizer import Tokenizer
+from repro.llm.trainer import records_to_text, split_dataset
 from repro.train import (CRASH_AFTER_ENV, CRASH_MODE_ENV, CheckpointStore,
                          TrainConfig, build_artifact, corpus_dataset,
                          dataset_digest, train_run)
+from repro.train.data import encode_sequences, epoch_plan
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -179,6 +182,34 @@ class TestDeterminism:
             json.dumps(second, sort_keys=True)
         assert first["profile"]["name"] == "tiny"
         assert first["weights_sha256"] == reference.weights_sha256
+
+
+def test_trained_tokens_counts_only_the_targets_trained_on():
+    # One record is far longer than seq_len + 1 tokens; training keeps
+    # only its first seq_len targets, and so must the count.
+    records = list(_synthetic_dataset(8))
+    records.append(make_record(
+        Task.NL_VERILOG, "a wide register bank",
+        "module bank(input clk, input [7:0] d, output reg [7:0] q);\n"
+        + "".join(f"  always @(posedge clk) q[{bit}] <= d[{bit}];\n"
+                  for bit in range(8))
+        + "endmodule"))
+    dataset = Dataset(records=records)
+    config = _tiny_config(epochs=1)
+    report = train_run(dataset, config)
+    train_set, _ = split_dataset(dataset, val_fraction=config.val_fraction,
+                                 seed=config.seed)
+    tokenizer = Tokenizer.train(records_to_text(train_set),
+                                vocab_size=config.vocab_size)
+    sequences = encode_sequences(train_set, tokenizer)
+    assert max(map(len, sequences)) > config.seq_len + 1
+    plan = epoch_plan(sequences, report.dataset_digest, config.seed, 0,
+                      config.batch_size, config.micro_batch,
+                      config.seq_len, tokenizer.pad_id)
+    targets = sum(int((t != -1).sum()) for micros in plan
+                  for _, t in micros)
+    assert report.trained_tokens == targets
+    assert targets < sum(map(len, sequences))
 
 
 # --------------------------------------------------------------------------
