@@ -9,8 +9,9 @@ last-position-only forward, as the paper loop's long thakur prompts
 do).  The slide regime also times that last-position forward against
 the full-width forward on the same windows.  Plus the
 :class:`repro.infer.ModelHost` cold-load vs warm-hit latency; writes
-``BENCH_infer.json`` at the repo root so the serving-layer trajectory
-is tracked from PR to PR.
+``BENCH_infer.json`` at the repo root, stamped with ``cpus`` and the
+``OPENBLAS_NUM_THREADS`` budget, so the serving-layer trajectory is
+tracked from PR to PR.
 
 Every timed decode asserts token-identity between the two paths first —
 a speedup over a wrong decoder would be worthless.  The in-window paths
@@ -163,8 +164,8 @@ def run_infer_bench() -> dict:
     return result
 
 
-def test_infer_throughput_and_host(once, benchmark):
-    result = once(run_infer_bench)
+def test_infer_throughput_and_host(once, benchmark, env_stamp):
+    result = dict(once(run_infer_bench), **env_stamp)
     benchmark.extra_info.update(result)
     with open(RESULT_PATH, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)

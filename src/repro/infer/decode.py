@@ -31,6 +31,9 @@ float bits can differ in the last ulp at larger ``d_model``.  Emitted
 token ids match ``generate()`` (greedy and temperature sampling, same
 per-sequence ``np.random.default_rng(seed)`` stream), which is what
 ``tests/test_infer_decode.py`` pins, fixed and property-based.
+``pick`` draws by the inverse CDF that ``Generator.choice(V, p=probs)``
+runs, so it returns choice's ids from the same stream, draw for draw
+(``tests/test_llm_models.py`` pins that too).
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ def forward_logits(model: TinyTransformerLM, ids: np.ndarray) -> np.ndarray:
     when attached) but safe to call concurrently, since nothing is
     written to the model's backprop caches.
     """
-    if ids.shape[1] > model.config.max_len:
-        raise ValueError("sequence longer than max_len")
     return forward(model, ids)
 
 

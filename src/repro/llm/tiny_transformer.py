@@ -18,11 +18,31 @@ three decode regimes of :mod:`repro.infer.decode` (prefill, KV-cache step
 and sliding window).  Both paths share one copy of the arithmetic:
 :meth:`Linear.apply` (LoRA delta included), :meth:`LayerNorm._normalize`
 and :func:`attention_probs`; :func:`pick` is the one token sampler.
+
+At this model's size (``d_model`` 16–32) a step costs numpy calls and
+allocations, not FLOPs, so the hot paths keep both few while every
+float bit stays what the textbook formulas give:
+
+* LayerNorm takes the mean and variance as ``np.add.reduce(...) / dim``
+  over the centred rows, which are the operations ``ndarray.mean`` and
+  ``ndarray.var`` run, without their Python wrappers;
+* the loss softmax runs in place over the logits (one (B·T, V) buffer
+  per micro-batch), ``Linear.apply`` adds its bias in place and the
+  training causal mask comes from :func:`causal_mask`'s per-length
+  cache; a last-position inference query with default positions needs
+  no mask at all;
+* :class:`Adam` keeps every trainable param's grad, ``m`` and ``v`` as
+  views of three flat buffers and steps with one vectorised update;
+* :func:`pick` samples by inverse CDF with one ``rng.random()``, the
+  algorithm ``Generator.choice(p=)`` runs, so ids and the rng stream
+  match it draw for draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +83,10 @@ class Linear:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The arithmetic of :meth:`forward` without caching ``x`` —
         safe to call concurrently and mid-training."""
-        y = x @ self.weight.value.T + self.bias.value
+        y = x @ self.weight.value.T
+        y += self.bias.value
         if self.lora is not None:
-            y = y + (x @ self.lora.A.value.T) @ self.lora.B.value.T \
+            y += (x @ self.lora.A.value.T) @ self.lora.B.value.T \
                 * self.lora.scaling
         return y
 
@@ -96,15 +117,20 @@ class LayerNorm:
         self._cache = None
 
     def _normalize(self, x: np.ndarray):
-        """(output, xhat, var); statistics are row-local."""
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        xhat = (x - mu) / np.sqrt(var + self.eps)
-        return xhat * self.gamma.value + self.beta.value, xhat, var
+        """(output, xhat, std); statistics are row-local."""
+        dim = x.shape[-1]
+        centred = x - np.add.reduce(x, axis=-1, keepdims=True) / dim
+        var = np.add.reduce(np.square(centred), axis=-1,
+                            keepdims=True) / dim
+        std = np.sqrt(var + self.eps)
+        xhat = centred / std
+        y = xhat * self.gamma.value
+        y += self.beta.value
+        return y, xhat, std
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, xhat, var = self._normalize(x)
-        self._cache = (xhat, var)
+        y, xhat, std = self._normalize(x)
+        self._cache = (xhat, std)
         return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -112,34 +138,47 @@ class LayerNorm:
         return self._normalize(x)[0]
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        xhat, var = self._cache
+        xhat, std = self._cache
         dim = xhat.shape[-1]
         if self.gamma.trainable:
-            self.gamma.grad += (grad_y * xhat).reshape(-1, dim).sum(axis=0)
-            self.beta.grad += grad_y.reshape(-1, dim).sum(axis=0)
+            self.gamma.grad += np.add.reduce(
+                (grad_y * xhat).reshape(-1, dim), axis=0)
+            self.beta.grad += np.add.reduce(grad_y.reshape(-1, dim),
+                                            axis=0)
         dxhat = grad_y * self.gamma.value
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        return inv_std * (dxhat
-                          - dxhat.mean(axis=-1, keepdims=True)
-                          - xhat * (dxhat * xhat).mean(axis=-1,
-                                                       keepdims=True))
+        grad_x = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / dim
+        grad_x -= xhat * (np.add.reduce(dxhat * xhat, axis=-1,
+                                        keepdims=True) / dim)
+        grad_x *= 1.0 / std
+        return grad_x
 
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]
 
 
 def attention_probs(q: np.ndarray, k: np.ndarray,
-                    mask: np.ndarray) -> np.ndarray:
+                    mask: np.ndarray | None) -> np.ndarray:
     """softmax(q k^T / sqrt(d_head)) over split heads (B, H, T, d_head),
-    with the keys where ``mask`` is true set to -1e9 first.  After the
-    max-subtraction those exp to an exact 0.0, so masked keys add
-    nothing to ``probs @ v``."""
-    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(q.shape[-1]))
-    scores = np.where(mask, -1e9, scores)
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
+    with the keys where ``mask`` is true set to -1e9 first (``None``
+    masks nothing).  After the max-subtraction those exp to an exact
+    0.0, so masked keys add nothing to ``probs @ v``."""
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    if mask is not None:
+        np.copyto(scores, -1e9, where=mask)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
+
+
+@functools.lru_cache(maxsize=256)
+def causal_mask(seq: int) -> np.ndarray:
+    """The read-only (T, T) mask of the keys after each query, shared
+    by every call with that length."""
+    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 class CausalSelfAttention:
@@ -168,9 +207,7 @@ class CausalSelfAttention:
         q = self._split(self.q_proj.forward(x))
         k = self._split(self.k_proj.forward(x))
         v = self._split(self.v_proj.forward(x))
-        seq = x.shape[1]
-        probs = attention_probs(
-            q, k, np.triu(np.ones((seq, seq), dtype=bool), k=1))
+        probs = attention_probs(q, k, causal_mask(x.shape[1]))
         self._cache = (q, k, v, probs)
         return self.out_proj.forward(self._merge(probs @ v))
 
@@ -283,14 +320,15 @@ class TinyTransformerLM:
         """Cross-entropy on next-token targets; backprop into grads."""
         logits = self.forward(ids)
         batch, seq, vocab = logits.shape
-        flat = logits.reshape(-1, vocab)
-        flat -= flat.max(axis=1, keepdims=True)
-        exp = np.exp(flat)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        # Softmax in place: the logits buffer becomes probs, then grad.
+        probs = logits.reshape(-1, vocab)
+        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=1, keepdims=True)
         flat_targets = targets.reshape(-1)
         valid = flat_targets >= 0
         count = max(int(valid.sum()), 1)
-        idx = np.arange(flat.shape[0])
+        idx = np.arange(probs.shape[0])
         safe_targets = np.where(valid, flat_targets, 0)
         loss = -np.log(np.maximum(
             probs[idx, safe_targets], 1e-12))[valid].sum() / count
@@ -318,13 +356,13 @@ class TinyTransformerLM:
         logits = self.forward(ids)
         vocab = logits.shape[-1]
         flat = logits.reshape(-1, vocab)
-        flat -= flat.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(flat).sum(axis=1))
+        flat -= np.maximum.reduce(flat, axis=1, keepdims=True)
         flat_targets = targets.reshape(-1)
         valid = flat_targets >= 0
-        idx = np.arange(flat.shape[0])
         safe = np.where(valid, flat_targets, 0)
-        nll = (logz - flat[idx, safe])[valid]
+        picked = flat[np.arange(flat.shape[0]), safe]
+        np.exp(flat, out=flat)
+        nll = (np.log(np.add.reduce(flat, axis=1)) - picked)[valid]
         return float(nll.mean()) if nll.size else 0.0
 
     # -- parameter access --------------------------------------------------
@@ -392,19 +430,30 @@ def forward(model: TinyTransformerLM, ids: np.ndarray, *,
     d_head) arrays — the new keys/values are stored at ``rows ×
     positions`` and each query attends over its row's cached prefix;
     without it, over ``ids`` themselves.  Either way a key is masked
-    when its position is greater than the query's.
+    when its position is greater than the query's.  With default
+    positions, ``T > max_len`` raises ``ValueError`` as the training
+    forward does.
     """
-    if positions is None:
-        positions = np.arange(ids.shape[1])
-    x = model.tok_emb.value[ids] + model.pos_emb.value[positions]
-    key_positions = positions
+    seq = ids.shape[1]
+    default_positions = positions is None
+    if default_positions and seq > model.config.max_len:
+        raise ValueError("sequence longer than max_len")
     if cache is not None:
         layer_kv, rows = cache
-        key_positions = np.arange(int(positions.max()) + 1)
-    # (1, T, W) for shared positions, (B, 1, T, W) for per-row ones;
-    # either broadcasts over the heads of the (B, H, T, W) scores.
-    mask = np.expand_dims(key_positions[..., None, :]
-                          > positions[..., None], -3)
+        if default_positions:
+            positions = np.arange(seq)
+        n_keys = int(positions.max()) + 1
+    x = model.tok_emb.value.take(ids, axis=0)
+    if default_positions:
+        x += model.pos_emb.value[:seq]
+        mask = causal_mask(seq)
+    else:
+        x += model.pos_emb.value.take(positions, axis=0)
+        key_positions = positions if cache is None else np.arange(n_keys)
+        # (1, T, W) for shared positions, (B, 1, T, W) for per-row ones;
+        # either broadcasts over the heads of the (B, H, T, W) scores.
+        mask = (key_positions[..., None, :]
+                > positions[..., None])[..., None, :, :]
     last = len(model.blocks) - 1
     for index, block in enumerate(model.blocks):
         attn = block.attn
@@ -416,17 +465,20 @@ def forward(model: TinyTransformerLM, ids: np.ndarray, *,
             slots = (rows[:, None], slice(None), positions)
             cache_k[slots] = k.transpose(0, 2, 1, 3)
             cache_v[slots] = v.transpose(0, 2, 1, 3)
-            k = cache_k[rows][:, :, :key_positions.size, :]
-            v = cache_v[rows][:, :, :key_positions.size, :]
+            k = cache_k[rows, :, :n_keys]
+            v = cache_v[rows, :, :n_keys]
         if last_only and index == last:
             # Keys/values above cover every position; the query and
-            # everything after it narrow to the last one.
-            x, h, mask = x[:, -1:], h[:, -1:], mask[..., -1:, :]
+            # everything after it narrow to the last one.  With default
+            # positions no key comes after that query, so nothing is
+            # masked.
+            x, h = x[:, -1:], h[:, -1:]
+            mask = None if default_positions else mask[..., -1:, :]
         q = attn._split(attn.q_proj.apply(h))
-        x = x + attn.out_proj.apply(
+        x += attn.out_proj.apply(
             attn._merge(attention_probs(q, k, mask) @ v))
         hidden = block.mlp.fc1.apply(block.ln2.apply(x))
-        x = x + block.mlp.fc2.apply(np.maximum(hidden, 0.0))
+        x += block.mlp.fc2.apply(np.maximum(hidden, 0.0, out=hidden))
     logits = model.head.apply(model.ln_final.apply(x))
     return logits[:, -1] if last_only else logits
 
@@ -435,18 +487,35 @@ def pick(logits: np.ndarray, temperature: float,
          rng: np.random.Generator) -> int:
     """One token id from a (V,) logits row: the argmax when
     ``temperature <= 0``, else one ``rng`` draw from
-    ``softmax(logits / temperature)``."""
+    ``softmax(logits / temperature)`` by inverse CDF — the algorithm
+    ``rng.choice(V, p=probs)`` runs (one ``rng.random()``, ``side=
+    "right"``), so the ids and the stream match it.  Of its checks only
+    the NaN one can fail here (NaN logits, or a temperature so small
+    that ``logits / temperature`` overflows), and it is kept."""
     if temperature <= 0:
         return int(logits.argmax())
-    scaled = logits / temperature
-    scaled -= scaled.max()
-    probs = np.exp(scaled)
+    probs = logits / temperature
+    probs -= probs.max()
+    np.exp(probs, out=probs)
     probs /= probs.sum()
-    return int(rng.choice(len(probs), p=probs))
+    cdf = probs.cumsum()
+    if np.isnan(cdf[-1]):
+        raise ValueError("Probabilities contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class Adam:
-    """Adam optimizer over :class:`Param` lists."""
+    """Adam over the trainable params, on one flat state.
+
+    Each param's ``grad``, ``m`` and ``v`` become views of three flat
+    buffers (holding their current values), so :meth:`zero_grad` is one
+    store and :meth:`step` one vectorised update into preallocated
+    scratch, then one ``value -=`` per param.  The arithmetic is the
+    per-param update's, element for element.  Code that restores state
+    must copy into the views (``param.m[...] = saved``); rebinding them
+    detaches the param from the optimizer.
+    """
 
     def __init__(self, params: list[Param], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999),
@@ -456,19 +525,47 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
+        self.grad, self.m, self.v = (
+            np.concatenate([getattr(p, name).ravel() for p in self.params]
+                           + [np.zeros(0)])
+            for name in ("grad", "m", "v"))
+        self._update = np.empty_like(self.grad)
+        self._scratch = np.empty_like(self.grad)
+        self._param_updates = []
+        offset = 0
+        for param in self.params:
+            span = slice(offset, offset + param.value.size)
+            offset = span.stop
+            shape = param.value.shape
+            param.grad = self.grad[span].reshape(shape)
+            param.m = self.m[span].reshape(shape)
+            param.v = self.v[span].reshape(shape)
+            self._param_updates.append((param, self._update[span]
+                                        .reshape(shape)))
 
     def step(self) -> None:
         self.step_count += 1
         correction1 = 1 - self.beta1 ** self.step_count
         correction2 = 1 - self.beta2 ** self.step_count
-        for param in self.params:
-            param.m = self.beta1 * param.m + (1 - self.beta1) * param.grad
-            param.v = self.beta2 * param.v + \
-                (1 - self.beta2) * param.grad ** 2
-            m_hat = param.m / correction1
-            v_hat = param.v / correction2
-            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad, m, v = self.grad, self.m, self.v
+        update, scratch = self._update, self._scratch
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+        m *= self.beta1
+        np.multiply(grad, 1 - self.beta1, out=scratch)
+        m += scratch
+        v *= self.beta2
+        np.square(grad, out=scratch)
+        scratch *= 1 - self.beta2
+        v += scratch
+        # update = lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, correction1, out=update)
+        update *= self.lr
+        np.divide(v, correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        update /= scratch
+        for param, param_update in self._param_updates:
+            param.value -= param_update
 
     def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
+        self.grad[...] = 0.0

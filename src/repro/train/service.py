@@ -165,33 +165,11 @@ def set_model_state(model: TinyTransformerLM,
         param.value[...] = array
 
 
-class FlatGrads:
-    """Rebind every param's ``.grad`` to slices of one flat buffer.
-
-    Zeroing becomes a single vectorised store and a whole gradient
-    reads back as one contiguous vector.  The views alias exactly the
-    memory the backward pass accumulates into, so the arithmetic (and
-    therefore every loss/weight byte) is that of per-param gradients.
-    """
-
-    def __init__(self, model: TinyTransformerLM):
-        params = model.params()
-        self.size = int(sum(param.value.size for param in params))
-        self.flat = np.zeros(self.size)
-        offset = 0
-        for param in params:
-            end = offset + param.value.size
-            param.grad = self.flat[offset:end] \
-                .reshape(param.value.shape)
-            offset = end
-
-
 def _optimizer_step(model: TinyTransformerLM, optimizer: Adam,
-                    grads: FlatGrads, acc: np.ndarray,
-                    micros: list) -> float:
+                    acc: np.ndarray, micros: list) -> float:
     """One optimizer step over one macro-batch's micro-batches.
 
-    Every ``param.grad`` is a view into ``grads.flat``, so each
+    Every ``param.grad`` is a view into ``optimizer.grad``, so each
     micro-batch is zero-the-buffer → backward, which leaves the
     micro-batch's mean gradient over its valid tokens.
     ``acc += count * grad`` then reduces them in canonical micro-batch
@@ -203,13 +181,13 @@ def _optimizer_step(model: TinyTransformerLM, optimizer: Adam,
     acc[...] = 0.0
     loss_sum, total = 0.0, 0
     for ids, targets in micros:
-        grads.flat[...] = 0.0
+        optimizer.zero_grad()
         loss = model.loss_and_backward(ids, targets)
         count = int((targets >= 0).sum())
         loss_sum += loss * count
         total += count
-        acc += count * grads.flat
-    np.divide(acc, total, out=grads.flat)
+        acc += count * optimizer.grad
+    np.divide(acc, total, out=optimizer.grad)
     optimizer.step()
     return loss_sum / total
 
@@ -248,10 +226,12 @@ class TrainerService:
     def _restore(model: TinyTransformerLM, optimizer: Adam,
                  payload: dict) -> None:
         set_model_state(model, payload["params"])
+        # Copy, not rebind: ``m``/``v`` are views of the optimizer's
+        # flat state.
         for param, m, v in zip(model.params(), payload["adam_m"],
                                payload["adam_v"]):
-            param.m = m
-            param.v = v
+            param.m[...] = m
+            param.v[...] = v
         optimizer.step_count = payload["adam_step"]
 
     # -- the run ----------------------------------------------------------
@@ -317,8 +297,7 @@ class TrainerService:
                                            cfg_blob, tokenizer))
             committed = step
 
-        grads = FlatGrads(model)
-        acc = np.zeros(grads.size)
+        acc = np.zeros_like(optimizer.grad)
         global_step = 0
         executed = 0
         completed = True
@@ -330,8 +309,8 @@ class TrainerService:
                 global_step += 1
                 if global_step <= done_steps:
                     continue            # replayed from the checkpoint
-                losses.append(_optimizer_step(model, optimizer, grads,
-                                              acc, micros))
+                losses.append(_optimizer_step(model, optimizer, acc,
+                                              micros))
                 done_steps = global_step
                 executed += 1
                 if (config.checkpoint_every

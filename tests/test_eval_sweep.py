@@ -10,6 +10,8 @@ them.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -137,3 +139,54 @@ def test_repair_cell_matches_per_candidate_scoring(model_name):
         batched = evaluate_repair_cell(model, case, n_samples=5)
         expected = _per_candidate_repair_cell(model, case)
         assert batched.to_dict() == expected.to_dict(), problem.name
+
+
+#: The smoke-size sweep a cold ``perfbench`` eval-sweep pass runs at
+#: seed 0: two shuffled generation models on the middle thakur prompts
+#: and two shuffled repair models, one sample each.
+_SMOKE_SWEEP = """
+import hashlib, json, random
+from repro.eval import EvalEngine
+from repro.eval.suite_api import run_suite, suite_scores
+from repro.llm import TABLE3_MODEL_ORDER, TABLE5_MODEL_ORDER
+
+def shuffled(names):
+    names = list(names)
+    random.Random(0).shuffle(names)
+    return names[:2]
+
+def sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+engine = EvalEngine(jobs=1)
+generation = run_suite("thakur", models=shuffled(TABLE5_MODEL_ORDER),
+                       samples=1, levels=("middle",), engine=engine)
+repair = run_suite("repair", models=shuffled(TABLE3_MODEL_ORDER),
+                   samples=1, seed=0, engine=engine)
+scores = {"generation": suite_scores(generation.suite, generation.report),
+          "repair": suite_scores(repair.suite, repair.report)}
+print(json.dumps({
+    "report": sha(generation.rendered + "\\x1f" + repair.rendered),
+    "scores": sha(json.dumps(scores, sort_keys=True))}))
+"""
+
+
+def test_smoke_sweep_is_independent_of_the_hash_seed():
+    """Fresh interpreters with different ``PYTHONHASHSEED`` values give
+    the same sweep: no output may follow set or dict-of-str order."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", _SMOKE_SWEEP], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    digests = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        digests.append(json.loads(out.strip().splitlines()[-1]))
+    assert digests[0] == digests[1]

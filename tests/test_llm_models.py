@@ -8,6 +8,8 @@ from repro.llm import (Adam, NGramModel, TinyTransformerLM, Tokenizer,
                        TransformerConfig, attach_lora, count_lora_params,
                        merge_lora, pretokenize, scaling_curve,
                        split_dataset, train_ngram)
+from repro.llm.tiny_transformer import LayerNorm, forward, pick
+from repro.train.service import TrainerService
 
 
 def tiny_dataset(n=30):
@@ -144,6 +146,14 @@ class TestTransformer:
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 999), dtype=int))
 
+    @pytest.mark.parametrize("last_only", [False, True])
+    def test_inference_forward_rejects_too_long_sequence(self, model,
+                                                         last_only):
+        with pytest.raises(ValueError,
+                           match="sequence longer than max_len"):
+            forward(model, np.zeros((1, 17), dtype=int),
+                    last_only=last_only)
+
     def test_heads_must_divide_model_width(self):
         with pytest.raises(ValueError, match="n_heads must divide d_model"):
             TinyTransformerLM(TransformerConfig(
@@ -222,3 +232,141 @@ class TestTrainerAndScaling:
         a2, b2 = split_dataset(d, seed=5)
         assert [r.input for r in a1] == [r.input for r in a2]
         assert len(b1) == len(b2)
+
+
+# --------------------------------------------------------------------------
+# The hot loops' rewrites keep every float bit and every draw
+# --------------------------------------------------------------------------
+
+def _bits(array) -> bytes:
+    """Exact bytes: unlike ``==``, tells -0.0 from 0.0."""
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestHotLoopBitIdentity:
+    @pytest.mark.parametrize("shape", [(3, 7, 16), (1, 1, 16), (1, 16)])
+    def test_layernorm_matches_mean_var_formulas(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        dim = shape[-1]
+        norm = LayerNorm(dim)
+        norm.gamma.value[:] = rng.normal(1.0, 0.3, dim)
+        norm.beta.value[:] = rng.normal(0.0, 0.3, dim)
+        x = rng.normal(0.5, 2.0, shape)
+        grad_y = rng.normal(0.0, 1.0, shape)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        xhat = (x - mu) / np.sqrt(var + norm.eps)
+        want_y = xhat * norm.gamma.value + norm.beta.value
+        dxhat = grad_y * norm.gamma.value
+        want_grad = 1.0 / np.sqrt(var + norm.eps) * (
+            dxhat - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+        assert _bits(norm.apply(x)) == _bits(want_y)
+        assert _bits(norm.forward(x)) == _bits(want_y)
+        assert _bits(norm.backward(grad_y)) == _bits(want_grad)
+        assert _bits(norm.gamma.grad) == _bits(
+            (grad_y * xhat).reshape(-1, dim).sum(axis=0))
+        assert _bits(norm.beta.grad) == _bits(
+            grad_y.reshape(-1, dim).sum(axis=0))
+
+    def test_pick_reproduces_generator_choice(self):
+        vocab = 50
+        for seed in range(60):
+            logits = np.random.default_rng(10_000 + seed).normal(
+                0.0, 3.0, vocab)
+            for temperature in (0.2, 0.7, 1.0, 1.9, 5.0):
+                ours = np.random.default_rng(seed)
+                theirs = np.random.default_rng(seed)
+                scaled = logits / temperature
+                scaled -= scaled.max()
+                probs = np.exp(scaled)
+                probs /= probs.sum()
+                for _ in range(4):
+                    assert pick(logits, temperature, ours) == \
+                        int(theirs.choice(vocab, p=probs))
+                # The streams stay aligned after the draws.
+                assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("logits, temperature", [
+        (np.array([0.5, -2.0, 1.5]), 1e-320),   # logits / t overflows
+        (np.array([0.5, np.nan, 1.5]), 1.0),
+    ])
+    def test_pick_rejects_nan_probabilities(self, logits, temperature):
+        """Where ``Generator.choice(p=)`` raises, ``pick`` raises too
+        instead of returning token 0."""
+        with pytest.raises(ValueError, match="Probabilities contain NaN"):
+            pick(logits, temperature, np.random.default_rng(0))
+
+    def test_pick_greedy_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        assert pick(np.array([0.1, 2.0, -1.0]), 0.0, rng) == 1
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_flat_adam_matches_per_param_reference(self):
+        def build():
+            model = TinyTransformerLM(TransformerConfig(
+                vocab_size=24, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                max_len=10, seed=4))
+            attach_lora(model, rank=2, seed=5, freeze_base=True)
+            return model
+
+        flat_model, ref_model = build(), build()
+        frozen = [p.value.copy() for p in flat_model.params()
+                  if not p.trainable]
+        optimizer = Adam(flat_model.params(), lr=2e-2)
+        reference = [p for p in ref_model.params() if p.trainable]
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 2e-2
+        rng = np.random.default_rng(6)
+        for step in range(1, 21):
+            ids = rng.integers(0, 24, (2, 10))
+            targets = rng.integers(-1, 24, (2, 10))
+            optimizer.zero_grad()
+            for param in reference:
+                param.zero_grad()
+            loss = flat_model.loss_and_backward(ids, targets)
+            assert loss == ref_model.loss_and_backward(ids, targets)
+            optimizer.step()
+            for param in reference:         # the textbook update
+                param.m = beta1 * param.m + (1 - beta1) * param.grad
+                param.v = beta2 * param.v + (1 - beta2) * param.grad ** 2
+                m_hat = param.m / (1 - beta1 ** step)
+                v_hat = param.v / (1 - beta2 ** step)
+                param.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for ours, theirs in zip(flat_model.params(), ref_model.params()):
+            assert _bits(ours.value) == _bits(theirs.value)
+            assert _bits(ours.m) == _bits(theirs.m)
+            assert _bits(ours.v) == _bits(theirs.v)
+        assert all(np.array_equal(before, p.value) for before, p in
+                   zip(frozen, [p for p in flat_model.params()
+                                if not p.trainable]))
+
+    def test_adam_state_views_alias_the_flat_buffers(self):
+        model = TinyTransformerLM(TransformerConfig(
+            vocab_size=8, d_model=4, n_heads=1, n_layers=1, d_ff=8,
+            max_len=4, seed=0))
+        optimizer = Adam(model.params())
+        for param in model.params():
+            assert np.shares_memory(param.grad, optimizer.grad)
+            assert np.shares_memory(param.m, optimizer.m)
+            assert np.shares_memory(param.v, optimizer.v)
+
+    def test_restore_copies_moments_into_the_optimizer(self):
+        config = TransformerConfig(vocab_size=8, d_model=4, n_heads=1,
+                                   n_layers=1, d_ff=8, max_len=4, seed=0)
+        source = TinyTransformerLM(config)
+        for index, param in enumerate(source.params()):
+            param.m[...] = index + 0.5
+            param.v[...] = index + 0.25
+        payload = {"params": [p.value for p in source.params()],
+                   "adam_m": [p.m for p in source.params()],
+                   "adam_v": [p.v for p in source.params()],
+                   "adam_step": 7}
+        model = TinyTransformerLM(config)
+        optimizer = Adam(model.params())
+        TrainerService._restore(model, optimizer, payload)
+        assert optimizer.step_count == 7
+        assert _bits(optimizer.m) == _bits(np.concatenate(
+            [m.ravel() for m in payload["adam_m"]]))
+        assert _bits(optimizer.v) == _bits(np.concatenate(
+            [v.ravel() for v in payload["adam_v"]]))
