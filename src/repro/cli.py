@@ -45,6 +45,12 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _write_json(path: str, blob: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(blob, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def cmd_describe(args: argparse.Namespace) -> int:
     from .nl import describe_source
     print(describe_source(_read(args.file)).annotated())
@@ -104,13 +110,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _augment_config(args: argparse.Namespace):
-    from .core import PipelineConfig
-    if args.completion_only:
-        return PipelineConfig.completion_only()
-    return PipelineConfig(seed=args.seed)
-
-
 def cmd_augment(args: argparse.Namespace) -> int:
     """Stream files through :mod:`repro.scale` — sources are read
     per-shard inside the workers, never held in memory as one corpus —
@@ -119,8 +118,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
     from .core import dataset_stats, render_table2
     from .scale import augment_distributed
     from .scale.store import DEFAULT_NUM_SHARDS
+    from .serve.executor import _config_from_spec
     report = augment_distributed(
-        list(args.paths), config=_augment_config(args), jobs=args.jobs,
+        list(args.paths), config=_config_from_spec(vars(args)),
+        jobs=args.jobs,
         cache_dir=args.cache_dir,
         num_shards=(args.shards if args.shards is not None
                     else DEFAULT_NUM_SHARDS))
@@ -168,42 +169,30 @@ def _train_knobs(args: argparse.Namespace) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .scale.store import DEFAULT_NUM_SHARDS
-    from .train import (TrainConfig, build_artifact, corpus_dataset,
-                        train_run)
-    knobs = _train_knobs(args)
-    config = _augment_config(args)
-    dataset, scale_report = corpus_dataset(
-        list(args.paths), config=config, cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        num_shards=(args.shards if args.shards is not None
-                    else DEFAULT_NUM_SHARDS))
-    seed = knobs.pop("train_seed", None)
-    train_config = TrainConfig(**knobs)
-    if seed is not None:
-        train_config.seed = seed
-    report = train_run(dataset, train_config,
-                       checkpoint_dir=args.checkpoint_dir)
-    print(f"-- corpus: {scale_report.summary()}")
+    """Run the train job's code on local paths: ``--cache-dir`` and
+    ``--checkpoint-dir`` stand in for the job's work-dir layout,
+    ``--out`` writes the job blob's ``artifact`` and ``--report-out``
+    the rest of the blob."""
+    from .serve import SpecError, validate_spec
+    from .serve.executor import run_training
+    try:
+        spec = validate_spec("train", dict(
+            _train_knobs(args), paths=list(args.paths), seed=args.seed,
+            completion_only=args.completion_only, shards=args.shards,
+            register_as=args.register_as))
+    except SpecError as exc:
+        print(f"invalid train options: {exc}", file=sys.stderr)
+        return 2
+    blob, corpus_report, report = run_training(
+        spec, args.cache_dir, args.checkpoint_dir, args.jobs)
+    print(f"-- corpus: {corpus_report.summary()}")
     print(f"-- train: {report.summary()}")
-    if args.out:
-        artifact = build_artifact(args.register_as, report, dataset)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"-- wrote artefact to {args.out}")
-    if args.report_out:
-        blob = {"steps": report.steps, "records": report.records,
-                "losses": report.losses,
-                "val_losses": report.val_losses,
-                "final_loss": report.final_loss,
-                "weights_sha256": report.weights_sha256,
-                "dataset_digest": report.dataset_digest,
-                "trained_tokens": report.trained_tokens}
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"-- wrote report to {args.report_out}")
+    artifact = blob.pop("artifact")
+    for path, what, payload in ((args.out, "artefact", artifact),
+                                (args.report_out, "report", blob)):
+        if path:
+            _write_json(path, payload)
+            print(f"-- wrote {what} to {path}")
     return 0
 
 
@@ -308,9 +297,7 @@ def cmd_dag(args: argparse.Namespace) -> int:
     for node in nodes:
         print(f"-- {node.name}: done ({node.kind})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, results)
         print(f"-- wrote results to {args.out}")
     return 0
 
@@ -332,10 +319,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
                            via=args.via, jobs=args.jobs)
     print(report.render())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, report.to_dict())
         print(f"-- wrote scenario report to {args.out}")
     return 0 if report.ok else 1
 
@@ -390,50 +374,33 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    """Decode completions from a trained-model artefact, locally (the
-    daemon-free twin of ``repro submit infer``: same seed derivation,
-    same result blob)."""
-    from .infer import sample_tokens, shared_host
-    from .train.data import stable_seed
+    """Decode completions from a trained-model artefact by running the
+    infer job (:func:`repro.serve.executor.execute_job`) on it: ``--out``
+    is the blob ``repro submit infer`` yields for the same weights,
+    prompts and knobs."""
+    import tempfile
+
+    from .serve import SpecError
+    from .serve.executor import execute_job
     artifact = json.loads(_read(args.artifact))
-    weights = (artifact.get("weights")
-               if isinstance(artifact, dict) else None)
-    if not isinstance(weights, dict):
-        print(f"{args.artifact} carries no weights bundle (written by "
-              "a pre-inference `repro train`? retrain to decode it)",
-              file=sys.stderr)
+    spec = {"prompts": list(args.prompt),
+            "trained": {"name": artifact.get("name"), "job": "local"},
+            "max_tokens": args.max_tokens,
+            "temperature": args.temperature, "seed": args.seed}
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-infer-") as work:
+            blob = execute_job("infer", spec, work,
+                               resolve={"local": {"artifact": artifact}}.get)
+    except (SpecError, RuntimeError) as exc:
+        print(f"cannot decode {args.artifact}: {exc}", file=sys.stderr)
         return 2
-    loaded = shared_host().load_bundle(weights)
-    tokenizer = loaded.tokenizer
-    prompts = list(args.prompt)
-    rows = [[tokenizer.bos_id] + tokenizer.encode(p) for p in prompts]
-    seeds = [stable_seed("infer", loaded.digest, args.seed, index,
-                         prompt)
-             for index, prompt in enumerate(prompts)]
-    outs = sample_tokens(loaded.model, rows,
-                         max_tokens=args.max_tokens,
-                         temperature=args.temperature, seeds=seeds,
-                         stop_token=tokenizer.eos_id)
-    completions = []
-    for index, (prompt, row) in enumerate(zip(prompts, rows)):
-        generated = outs[index][len(row):][:args.max_tokens]
-        completions.append({"prompt": prompt,
-                            "text": tokenizer.decode(generated),
-                            "tokens": len(generated)})
-    for entry in completions:
+    for entry in blob["completions"]:
         print(f">>> {entry['prompt']}")
         print(entry["text"] or "(empty completion)")
-    print(f"-- decoded {len(completions)} completion(s) from weights "
-          f"{loaded.digest[:12]}")
+    print(f"-- decoded {len(blob['completions'])} completion(s) from "
+          f"weights {blob['weights_sha256'][:12]}")
     if args.out:
-        blob = {"kind": "infer", "model": artifact.get("name"),
-                "weights_sha256": loaded.digest,
-                "max_tokens": args.max_tokens,
-                "temperature": args.temperature, "seed": args.seed,
-                "completions": completions}
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, blob)
         print(f"-- wrote completions to {args.out}")
     return 0
 

@@ -52,7 +52,8 @@ from .verilog_eval import clear_cache, evaluate_cell
 #: discards old eval caches wholesale.
 #: v2: trained artefacts evaluate real sampled transformer output
 #: (repro.infer) instead of the behavioural bridge.
-EVAL_CACHE_VERSION = 2
+#: v3: a generation candidate with no module is a syntax error.
+EVAL_CACHE_VERSION = 3
 
 _SLOT_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 

@@ -140,6 +140,8 @@ def evaluate_candidates(codes: list[str], problem: Problem
     is evaluated once, however often it repeats (a model that solves a
     problem returns its reference on most samples), and a code whose
     verdict is already in the in-memory cache is not evaluated at all.
+    A candidate with no ``module`` (empty, blank or comment-only text)
+    is a syntax error, as a testbench could not compile against it.
     Candidates that pass the checker go to
     :func:`repro.sim.run_testbench_batch` with the trees the checker
     parsed, so each is parsed once; the testbench is parsed once per
@@ -153,7 +155,7 @@ def evaluate_candidates(codes: list[str], problem: Problem
         cached = _CACHE.get(key)
         if cached is None:
             check, tree = check_source_tree(code, f"./{problem.name}.v")
-            if check.ok:
+            if check.ok and tree.modules:
                 to_sim.append(code)
                 trees.append(tree)
                 continue

@@ -4,6 +4,8 @@
 computes *only* the requested ones (``repro tables --only table5`` no
 longer sweeps all nine).  The benchmark-table thunks accept the shared
 evaluation engine so ``--jobs``/``--cache-dir`` reach Tables 3–5.
+The command line is ``repro tables`` (and ``repro submit experiment``
+for the daemon); this module has no entry point of its own.
 """
 
 from __future__ import annotations
@@ -55,23 +57,3 @@ def run_selected(names: Iterable[str] | None = None, quick: bool = True,
 def run_all(quick: bool = True, engine=None) -> dict[str, str]:
     """Every table and figure, rendered; quick mode trims sweep sizes."""
     return run_selected(None, quick=quick, engine=engine)
-
-
-def main() -> None:
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="Regenerate every table/figure of the paper")
-    parser.add_argument("--full", action="store_true",
-                        help="full-size sweeps (slower)")
-    parser.add_argument("--only",
-                        help="comma-separated ids, e.g. table5,fig3")
-    args = parser.parse_args()
-    names = args.only.split(",") if args.only else None
-    results = run_selected(names, quick=not args.full)
-    for name, text in results.items():
-        print(f"\n{'=' * 72}\n{name.upper()}\n{'=' * 72}")
-        print(text)
-
-
-if __name__ == "__main__":
-    main()

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bench import scgen_suite
-from ..eval import ScriptReport, evaluate_scripts, render_table4
-from ..llm import TABLE4_MODEL_ORDER, get_model
+from ..eval import ScriptReport
+from ..eval.suite_api import render_suite, suite_report
+from ..llm import TABLE4_MODEL_ORDER
 
 PAPER_ITERATIONS = {
     ("ours-13b", "Basic"): (1, 1),
@@ -29,14 +29,11 @@ class Table4Result:
     rendered: str
 
 
-def run_table4(max_attempts: int = 10,
-               quick: bool = False, engine=None) -> Table4Result:
-    tasks = list(scgen_suite())
-    models = [get_model(name) for name in TABLE4_MODEL_ORDER]
-    if quick:
-        models = [get_model(name)
-                  for name in ("gpt-3.5", "ours-13b", "llama2-13b")]
-    report = evaluate_scripts(models, tasks, max_attempts=max_attempts,
-                              engine=engine)
-    rendered = render_table4(report, [t.name for t in tasks])
-    return Table4Result(report=report, rendered=rendered)
+def run_table4(quick: bool = False, engine=None) -> Table4Result:
+    """Regenerate Table 4: the ``scripts`` suite at pass@10, through
+    the suite API (quick mode scores three of the six models)."""
+    models = (["gpt-3.5", "ours-13b", "llama2-13b"] if quick
+              else list(TABLE4_MODEL_ORDER))
+    report = suite_report("scripts", models, samples=10, engine=engine)
+    return Table4Result(report=report,
+                        rendered=render_suite("scripts", report))

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bench import (PROMPT_LEVELS, rtllm_table5_subset, thakur_suite)
-from ..eval import GenerationReport, evaluate_generation, render_table5
-from ..llm import TABLE5_MODEL_ORDER, get_model
+from ..bench import PROMPT_LEVELS, generation_suite
+from ..eval import GenerationReport
+from ..eval.suite_api import render_suite, suite_report
+from ..llm import TABLE5_MODEL_ORDER
 
 PAPER_SUCCESS = {
     "gpt-3.5": {"thakur": 0.647, "rtllm": 0.278, "all": 0.457},
@@ -48,33 +49,16 @@ class Table5Result:
             model, self.thakur_names + self.rtllm_names)
 
 
-def run_table5(n_samples: int = 5, quick: bool = False,
-               models: list[str] | None = None,
-               engine=None, artifact: dict | None = None) -> Table5Result:
-    """Regenerate Table 5; ``artifact`` adds a freshly trained model.
-
-    The artefact (a :func:`repro.train.artifact.build_artifact` blob)
-    is registered with the model registry and scored as an extra
-    column, so a pipeline run renders its finetuned model next to the
-    paper's six.
-    """
-    levels = PROMPT_LEVELS if not quick else ("middle",)
-    if quick:
-        n_samples = 3
-    model_names = models or list(TABLE5_MODEL_ORDER)
-    if artifact is not None:
-        from ..llm import register_artifact
-        name = register_artifact(artifact).name
-        if name not in model_names:
-            model_names = model_names + [name]
-    problems = list(thakur_suite()) + list(rtllm_table5_subset())
-    report = evaluate_generation(
-        [get_model(name) for name in model_names], problems,
-        levels=levels, n_samples=n_samples, engine=engine)
-    thakur_names = [p.name for p in thakur_suite()]
-    rtllm_names = [p.name for p in rtllm_table5_subset()]
-    rendered = render_table5(report, thakur_names, rtllm_names,
-                             levels=levels)
-    return Table5Result(report=report, rendered=rendered,
-                        thakur_names=thakur_names,
-                        rtllm_names=rtllm_names)
+def run_table5(quick: bool = False, engine=None) -> Table5Result:
+    """Regenerate Table 5: the ``generation`` suite (Thakur + the
+    RTLLM subset) for the paper's six models, through the suite API."""
+    levels = ("middle",) if quick else PROMPT_LEVELS
+    report = suite_report("generation", list(TABLE5_MODEL_ORDER),
+                          samples=3 if quick else 5, levels=levels,
+                          engine=engine)
+    problems = generation_suite("generation")
+    return Table5Result(
+        report=report,
+        rendered=render_suite("generation", report, levels=levels),
+        thakur_names=[p.name for p in problems if p.suite == "thakur"],
+        rtllm_names=[p.name for p in problems if p.suite == "rtllm"])

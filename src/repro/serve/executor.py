@@ -97,12 +97,13 @@ class BatchResult:
     sim_stats: object = None
 
 
-def _augment_blob(spec: dict, cache_dir: str, jobs: int) -> dict:
+def _augment_blob(spec: dict, workdir: str, jobs: int) -> dict:
     from ..scale import augment_distributed
     from ..scale.store import DEFAULT_NUM_SHARDS
+    config = _config_from_spec(spec)
     report = augment_distributed(
-        spec["paths"], config=_config_from_spec(spec), jobs=jobs,
-        cache_dir=cache_dir,
+        spec["paths"], config=config, jobs=jobs,
+        cache_dir=_augment_cache_dir(workdir, config),
         num_shards=spec.get("shards") or DEFAULT_NUM_SHARDS)
     text = report.dataset.to_jsonl()
     per_task = {task.value: count for task, count
@@ -114,39 +115,48 @@ def _augment_blob(spec: dict, cache_dir: str, jobs: int) -> dict:
             "dataset_jsonl": text}
 
 
-def _train_blob(spec: dict, workdir: str, jobs: int) -> dict:
-    """Run (or resume) one training job; pure in the canonical spec.
+def run_training(spec: dict, cache_dir: str | None,
+                 checkpoint_dir: str | None, jobs: int):
+    """Run (or resume) the training a canonical train spec describes.
 
-    The corpus loads through the shared augment shard cache — warm
-    after the pipeline's augment stage, so nothing re-augments — and
-    checkpoints live under a spec-keyed directory, so a job requeued by
-    crash recovery resumes instead of restarting (byte-identical either
-    way).  Invocation-dependent fields (``resumed_steps``, cache
-    counters) are deliberately excluded from the blob.  ``jobs`` sizes
-    the augmentation shards; training itself runs in-process.
+    Returns ``(blob, corpus_report, train_report)``.  The blob is pure
+    in the spec: invocation-dependent facts (``resumed_steps``, shard
+    cache counters) stay in the two reports, for callers that print
+    them.  The corpus loads through ``cache_dir`` and checkpoints go to
+    ``checkpoint_dir`` (either may be None); ``jobs`` sizes the
+    augmentation shards, and training itself runs in-process.
     """
     from ..scale.store import DEFAULT_NUM_SHARDS
     from ..train import build_artifact, corpus_dataset, train_run
-    config = _config_from_spec(spec)
-    spec_digest = hashlib.sha256(
-        json.dumps(spec, sort_keys=True).encode("utf-8")).hexdigest()
-    dataset, _ = corpus_dataset(
-        spec["paths"], config=config,
-        cache_dir=_augment_cache_dir(workdir, config), jobs=jobs,
+    dataset, corpus_report = corpus_dataset(
+        spec["paths"], config=_config_from_spec(spec),
+        cache_dir=cache_dir, jobs=jobs,
         num_shards=spec.get("shards") or DEFAULT_NUM_SHARDS)
-    report = train_run(
-        dataset, _train_config(spec),
-        checkpoint_dir=os.path.join(workdir,
-                                    f"train-{spec_digest[:12]}"))
-    artifact = build_artifact(spec["register_as"], report, dataset)
-    return {"kind": "train", "register_as": spec["register_as"],
+    report = train_run(dataset, _train_config(spec),
+                       checkpoint_dir=checkpoint_dir)
+    blob = {"kind": "train", "register_as": spec["register_as"],
             "steps": report.steps, "records": report.records,
             "trained_tokens": report.trained_tokens,
             "final_loss": report.final_loss,
             "losses": report.losses, "val_losses": report.val_losses,
             "weights_sha256": report.weights_sha256,
             "dataset_digest": report.dataset_digest,
-            "artifact": artifact}
+            "artifact": build_artifact(spec["register_as"], report,
+                                       dataset)}
+    return blob, corpus_report, report
+
+
+def _train_blob(spec: dict, workdir: str, jobs: int) -> dict:
+    """One train job.  The corpus loads through the shared augment
+    shard cache — warm after the pipeline's augment stage, so nothing
+    re-augments — and checkpoints live under a spec-keyed directory, so
+    a job requeued by crash recovery resumes instead of restarting
+    (byte-identical either way)."""
+    spec_digest = hashlib.sha256(
+        json.dumps(spec, sort_keys=True).encode("utf-8")).hexdigest()
+    return run_training(
+        spec, _augment_cache_dir(workdir, _config_from_spec(spec)),
+        os.path.join(workdir, f"train-{spec_digest[:12]}"), jobs)[0]
 
 
 def _trained_artifact(spec: dict,
@@ -164,14 +174,6 @@ def _trained_artifact(spec: dict,
             f"job {trained['job']} trained "
             f"'{artifact.get('name')}', not '{trained['name']}'")
     return artifact
-
-
-def _resolve_trained(spec: dict,
-                     resolve: Callable[[str], dict | None] | None) -> None:
-    """Register the trained model an evaluate spec depends on."""
-    from ..llm import register_artifact
-    if spec.get("trained") is not None:
-        register_artifact(_trained_artifact(spec, resolve))
 
 
 def _execute_infer(jobs: list[Job],
@@ -253,11 +255,20 @@ def _simulate_blob(spec: dict) -> dict:
             "error": result.error, "vcd": result.vcd}
 
 
-def _execute_evaluate(jobs: list[Job], engine) -> dict[str, JobOutcome]:
-    """One engine pass over the union of the batch's models."""
+def _execute_evaluate(jobs: list[Job],
+                      resolve: Callable[[str], dict | None] | None,
+                      engine) -> dict[str, JobOutcome]:
+    """One engine pass over the union of the batch's models.
+
+    The whole batch shares one compat key, so the leader's ``trained``
+    dependency (registered before the pass) is everyone's.
+    """
     from ..eval.suite_api import (render_suite, subset_report,
                                   suite_report, suite_scores)
+    from ..llm import register_artifact
     leader = jobs[0].spec
+    if leader.get("trained") is not None:
+        register_artifact(_trained_artifact(leader, resolve))
     union: list[str] = []
     for job in jobs:
         for name in job.spec["models"]:
@@ -281,106 +292,89 @@ def _execute_evaluate(jobs: list[Job], engine) -> dict[str, JobOutcome]:
     return outcomes
 
 
+def _experiment_blob(spec: dict, engine) -> dict:
+    from ..experiments import run_selected
+    name = spec["name"]
+    rendered = run_selected([name], quick=spec["quick"],
+                            engine=engine)[name]
+    return {"kind": "experiment", "name": name, "rendered": rendered}
+
+
+#: Kinds whose jobs run one at a time: kind → blob(spec, workdir,
+#: engine_jobs, engine).  A failing job fails alone.
+_JOB_RUNNERS: dict[str, Callable[..., dict]] = {
+    "augment": lambda spec, workdir, jobs, engine:
+        _augment_blob(spec, workdir, jobs),
+    "train": lambda spec, workdir, jobs, engine:
+        _train_blob(spec, workdir, jobs),
+    "simulate": lambda spec, *_: _simulate_blob(spec),
+    "probe": lambda spec, *_: _probe_blob(spec),
+    "experiment": lambda spec, workdir, jobs, engine:
+        _experiment_blob(spec, engine),
+}
+
+#: Kinds whose batch runs as one: kind → outcomes(jobs, resolve,
+#: engine).  A failure fails the whole batch.
+_BATCH_RUNNERS: dict[str, Callable[..., dict[str, JobOutcome]]] = {
+    "infer": lambda jobs, resolve, engine: _execute_infer(jobs, resolve),
+    "evaluate": _execute_evaluate,
+}
+
+#: Kinds that score through a batch-wide :class:`EvalEngine`.
+_ENGINE_KINDS = ("evaluate", "experiment")
+
+
 def execute_batch(kind: str, jobs: list[Job], workdir: str,
                   engine_jobs: int = 1,
                   resolve: Callable[[str], dict | None] | None = None
                   ) -> BatchResult:
     """Run one scheduler batch; every job gets an outcome.
 
+    Per-job kinds (``_JOB_RUNNERS``) share one loop, in which each job
+    succeeds or fails on its own; infer and evaluate run their batch as
+    one (``_BATCH_RUNNERS``); an unknown kind fails every job.
     ``resolve`` maps a done job id to its result blob (the daemon wires
     the store's result reader in); evaluate and infer jobs use it to
-    reach their ``trained`` dependency's artefact.  ``sim_stats`` on the returned
-    result is the batch's exact simulator accounting: the engine's
-    worker-aggregated counters for engine-based kinds, the executing
-    thread's delta for direct simulations (the two sources never
-    overlap — counters are thread-local).
+    reach their ``trained`` dependency's artefact.  ``sim_stats`` on the
+    returned result is the batch's exact simulator accounting: the
+    engine's worker-aggregated counters for engine-based kinds, the
+    executing thread's delta otherwise (the two sources never overlap —
+    counters are thread-local).
     """
     from ..eval import EvalEngine
-    from ..sim import BackendStats, backend_stats
+    from ..sim import backend_stats
     os.makedirs(workdir, exist_ok=True)
-    result = BatchResult(sim_stats=BackendStats())
-    if kind == "augment":
-        cache_dir = _augment_cache_dir(
-            workdir, _config_from_spec(jobs[0].spec))
+    result = BatchResult()
+    engine = None
+    if kind in _ENGINE_KINDS:
+        engine = EvalEngine(jobs=engine_jobs,
+                            cache_dir=os.path.join(workdir,
+                                                   "eval-cache"))
+    stats = backend_stats()
+    before = stats.copy()
+    if kind in _JOB_RUNNERS:
+        run = _JOB_RUNNERS[kind]
         for job in jobs:
             try:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=True, blob=_augment_blob(job.spec, cache_dir,
-                                                engine_jobs))
+                outcome = JobOutcome(ok=True, blob=run(
+                    job.spec, workdir, engine_jobs, engine))
             except Exception as exc:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=False, error=_describe(exc))
-    elif kind == "train":
-        for job in jobs:
-            try:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=True, blob=_train_blob(job.spec, workdir,
-                                              engine_jobs))
-            except Exception as exc:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=False, error=_describe(exc))
-    elif kind == "infer":
+                outcome = JobOutcome(ok=False, error=_describe(exc))
+            result.outcomes[job.id] = outcome
+    elif kind in _BATCH_RUNNERS:
         try:
-            result.outcomes = _execute_infer(jobs, resolve)
+            result.outcomes = _BATCH_RUNNERS[kind](jobs, resolve, engine)
         except Exception as exc:
             error = _describe(exc)
             result.outcomes = {job.id: JobOutcome(ok=False, error=error)
                                for job in jobs}
-    elif kind == "simulate":
-        stats = backend_stats()
-        before = stats.copy()
-        for job in jobs:
-            try:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=True, blob=_simulate_blob(job.spec))
-            except Exception as exc:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=False, error=_describe(exc))
-        result.sim_stats = stats.delta_since(before)
-    elif kind == "evaluate":
-        engine = EvalEngine(jobs=engine_jobs,
-                            cache_dir=os.path.join(workdir,
-                                                   "eval-cache"))
-        try:
-            # The whole batch shares one compat key, so the leader's
-            # trained dependency is everyone's.
-            _resolve_trained(jobs[0].spec, resolve)
-            result.outcomes = _execute_evaluate(jobs, engine)
-        except Exception as exc:
-            error = _describe(exc)
-            result.outcomes = {job.id: JobOutcome(ok=False, error=error)
-                               for job in jobs}
-        result.sim_stats = engine.sim_stats
-    elif kind == "probe":
-        for job in jobs:
-            try:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=True, blob=_probe_blob(job.spec))
-            except Exception as exc:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=False, error=_describe(exc))
-    elif kind == "experiment":
-        from ..experiments import run_selected
-        engine = EvalEngine(jobs=engine_jobs,
-                            cache_dir=os.path.join(workdir,
-                                                   "eval-cache"))
-        for job in jobs:
-            name = job.spec["name"]
-            try:
-                rendered = run_selected(
-                    [name], quick=job.spec["quick"],
-                    engine=engine)[name]
-                result.outcomes[job.id] = JobOutcome(
-                    ok=True, blob={"kind": "experiment", "name": name,
-                                   "rendered": rendered})
-            except Exception as exc:
-                result.outcomes[job.id] = JobOutcome(
-                    ok=False, error=_describe(exc))
-        result.sim_stats = engine.sim_stats
     else:
-        for job in jobs:
-            result.outcomes[job.id] = JobOutcome(
-                ok=False, error=f"unknown job kind '{kind}'")
+        result.outcomes = {
+            job.id: JobOutcome(ok=False,
+                               error=f"unknown job kind '{kind}'")
+            for job in jobs}
+    result.sim_stats = (engine.sim_stats if engine is not None
+                        else stats.delta_since(before))
     return result
 
 

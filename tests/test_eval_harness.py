@@ -9,6 +9,7 @@ from repro.eval import (evaluate_candidate, evaluate_cell,
                         make_broken_case, pass_at_k, render_table1,
                         render_table3, render_table4, render_table5,
                         evaluate_scripts)
+from repro.eval.verilog_eval import evaluate_candidates
 from repro.llm import get_model
 
 
@@ -52,6 +53,18 @@ class TestCandidateEvaluation:
                                      problem)
         assert not outcome.syntax_ok
         assert outcome.pass_fraction == 0.0
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n",
+                                      "// no design here\n/* none */\n"])
+    def test_candidate_without_a_module_is_a_syntax_error(self, text):
+        """A completion that says nothing is not a clean design: a
+        testbench could not compile against it."""
+        problem = thakur_suite()[0]
+        outcome, control = evaluate_candidates([text, problem.reference],
+                                               problem)
+        assert not outcome.syntax_ok
+        assert outcome.pass_fraction == 0.0
+        assert control.syntax_ok and control.passed
 
     def test_functionally_wrong_candidate(self):
         problem = thakur_suite()[1]   # and gate
