@@ -4,7 +4,8 @@
 generation sweep followed by the Table 3 repair sweep (every model,
 5 samples, one serial engine) and the exact Table 3 repair rates.
 Memoising candidates, corruptions or token spans must not move any of
-them.
+them (regenerate by deleting the file and running this test with
+``REPRO_REGEN_GOLDEN=1``).
 """
 
 import hashlib
@@ -26,15 +27,11 @@ from repro.eval.suite_api import run_suite, suite_scores
 from repro.llm import TABLE3_MODEL_ORDER, TABLE5_MODEL_ORDER, get_model
 from repro.sim import run_testbench
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
-                      "eval_sweep.json")
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_eval_sweep_matches_golden():
+def test_eval_sweep_matches_golden(golden):
     clear_cache()
     engine = EvalEngine(jobs=1)
     generation = run_suite("generation", models=list(TABLE5_MODEL_ORDER),
@@ -44,15 +41,12 @@ def test_eval_sweep_matches_golden():
     scores = {"generation": suite_scores(generation.suite,
                                          generation.report),
               "repair": suite_scores(repair.suite, repair.report)}
-    with open(GOLDEN, encoding="utf-8") as handle:
-        golden = json.load(handle)
-    assert {model: round(100 * row["solve_rate"], 1)
-            for model, row in scores["repair"].items()} \
-        == golden["repair_rates"]
-    assert _sha(json.dumps(scores, sort_keys=True)) \
-        == golden["scores_sha256"]
-    assert _sha(generation.rendered + "\x1f" + repair.rendered) \
-        == golden["report_sha256"]
+    golden("eval_sweep.json", {
+        "repair_rates": {model: round(100 * row["solve_rate"], 1)
+                         for model, row in scores["repair"].items()},
+        "scores_sha256": _sha(json.dumps(scores, sort_keys=True)),
+        "report_sha256": _sha(generation.rendered + "\x1f"
+                              + repair.rendered)})
 
 
 def test_duplicates_in_a_batch_are_evaluated_once(monkeypatch):
