@@ -51,6 +51,5 @@ def attach_difficulties(problems: list[Problem]) -> list[Problem]:
                 name=problem.name, suite=problem.suite, tier=problem.tier,
                 difficulty=difficulty, prompts=problem.prompts,
                 reference=problem.reference, testbench=problem.testbench))
-    order = {id(p): i for i, p in enumerate(problems)}
     names = {p.name: p for p in out}
     return [names[p.name] for p in problems]

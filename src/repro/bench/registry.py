@@ -1,8 +1,10 @@
-"""Benchmark-suite selection by name.
+"""The named Verilog-generation problem sets.
 
-One table for everything that wants a suite by id — the ``repro
-evaluate`` CLI, the evaluation engine's tests and the benchmarks — so a
-new suite becomes available everywhere by adding one entry here.
+Each id here is one generation suite of
+:data:`repro.eval.suite_api.SUITES`, the one table for everything that
+wants an evaluation suite by id (``repro evaluate``, the job service,
+the table drivers), so a new problem set becomes a suite everywhere by
+adding one entry here.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ GENERATION_SUITES: dict[str, Callable[[], tuple[Problem, ...]]] = {
     "rtllm-full": rtllm_suite,            # all 29 RTLLM designs
     "generation": _generation_all,        # full Table-5 problem set
 }
-
-#: Every suite id ``repro evaluate --suite`` accepts.
-EVAL_SUITES: tuple[str, ...] = (
-    tuple(sorted(GENERATION_SUITES)) + ("repair", "scripts"))
 
 
 def generation_suite(name: str) -> tuple[Problem, ...]:

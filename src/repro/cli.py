@@ -381,13 +381,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     import tempfile
 
     from .serve import SpecError
-    from .serve.executor import execute_job
+    from .serve.executor import artifact_weights, execute_job
     artifact = json.loads(_read(args.artifact))
     spec = {"prompts": list(args.prompt),
             "trained": {"name": artifact.get("name"), "job": "local"},
             "max_tokens": args.max_tokens,
             "temperature": args.temperature, "seed": args.seed}
     try:
+        artifact_weights(artifact, "the artefact")
         with tempfile.TemporaryDirectory(prefix="repro-infer-") as work:
             blob = execute_job("infer", spec, work,
                                resolve={"local": {"artifact": artifact}}.get)
@@ -720,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_options(p)
     p.set_defaults(fn=cmd_tables)
 
-    # Mirrors repro.bench.EVAL_SUITES (kept literal so parser construction
+    # Mirrors repro.eval.EVAL_SUITES (kept literal so parser construction
     # stays import-light; test_eval_engine pins the two together).
     EVAL_SUITES = ("generation", "rtllm", "rtllm-full", "thakur",
                    "repair", "scripts")

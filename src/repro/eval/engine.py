@@ -1,8 +1,8 @@
 """The unified parallel evaluation engine.
 
 One execution kernel behind every benchmark sweep (Tables 3–5): a sweep
-is decomposed into :class:`EvalTask` units — one (model, payload, level,
-sample budget) cell — which run on the generic
+(:func:`sweep`) is decomposed into :class:`EvalTask` units — one (model,
+payload, level, sample budget) cell — which run on the generic
 :class:`~repro.scale.runner.WorkPool` and persist through
 :class:`EvalCache`, a :class:`~repro.scale.cache.ManifestCache` of one
 JSON blob per cell.
@@ -37,7 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
 
 from ..bench.problems import Problem
 from ..bench.scgen import ScriptTask
@@ -45,15 +46,17 @@ from ..llm.behavioral import BehavioralModel
 from ..scale.cache import ManifestCache
 from ..scale.runner import WorkPool
 from .repair_eval import BrokenCase, evaluate_repair_cell
-from .script_eval import iterations_to_correct
-from .verilog_eval import clear_cache, evaluate_cell
+from .script_eval import IterationResult, iterations_to_correct
+from .verilog_eval import CellResult, clear_cache, evaluate_cell
 
 #: Bump when the cell blob format (or evaluation semantics) changes;
 #: discards old eval caches wholesale.
 #: v2: trained artefacts evaluate real sampled transformer output
 #: (repro.infer) instead of the behavioural bridge.
 #: v3: a generation candidate with no module is a syntax error.
-EVAL_CACHE_VERSION = 3
+#: v4: repair cells carry ``samples`` and ``passes`` like generation
+#: cells.
+EVAL_CACHE_VERSION = 4
 
 _SLOT_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -64,24 +67,16 @@ def _digest(*parts: object) -> str:
 
 
 def payload_digest(payload: Problem | BrokenCase | ScriptTask) -> str:
-    """Content digest of one task payload.
+    """Content digest of one task payload (a dataclass).
 
-    Hashes every field that can change the verdict; for script tasks the
-    reference script stands in for its (non-hashable) expectation
-    predicate, which is derived from it.
+    Hashes every field, nested payloads included, so any edit that can
+    change the verdict changes the digest.  A function-valued field (a
+    script task's expectation predicate, derived from its reference
+    script) is hashed by its qualified name.
     """
-    if isinstance(payload, Problem):
-        prompts = json.dumps(payload.prompts, sort_keys=True)
-        return _digest("problem", payload.name, payload.suite,
-                       payload.tier, payload.difficulty, prompts,
-                       payload.reference, payload.testbench)
-    if isinstance(payload, BrokenCase):
-        return _digest("broken-case", payload_digest(payload.problem),
-                       payload.broken, payload.feedback)
-    if isinstance(payload, ScriptTask):
-        return _digest("script-task", payload.name, payload.prompt,
-                       payload.reference)
-    raise TypeError(f"unsupported payload type {type(payload).__name__}")
+    content = json.dumps(asdict(payload), sort_keys=True,
+                         default=lambda value: value.__qualname__)
+    return _digest(type(payload).__name__, content)
 
 
 def profile_digest(model: BehavioralModel) -> str:
@@ -114,14 +109,8 @@ class EvalTask:
     kind: str                                   #: generation|repair|script
     model: BehavioralModel
     payload: Problem | BrokenCase | ScriptTask
-    level: str = "middle"                       #: generation only
+    level: str = "middle"                       #: "" for repair/script
     n_samples: int = 5
-
-    @property
-    def name(self) -> str:
-        if isinstance(self.payload, BrokenCase):
-            return self.payload.problem.name
-        return self.payload.name
 
     def slot(self) -> str:
         """Stable identity: which cell this is (not what it computed).
@@ -135,7 +124,7 @@ class EvalTask:
         fingerprint = getattr(self.model, "eval_fingerprint", None)
         model_tag = self.model.name if not fingerprint \
             else f"{self.model.name}@{_digest(fingerprint)[:8]}"
-        identity = f"{self.kind}-{model_tag}-{self.name}" + (
+        identity = f"{self.kind}-{model_tag}-{self.payload.name}" + (
             f"-{self.level}" if self.level else "")
         return _SLOT_SAFE.sub("_", identity)
 
@@ -168,7 +157,8 @@ def run_eval_task(task: EvalTask) -> dict:
     """Execute one cell; returns its JSON-serialisable result blob.
 
     Module-level (picklable) so the :class:`WorkPool` can run it in a
-    worker process.
+    worker process.  The cell functions are called through this
+    module's globals, so a tracer that rebinds them sees every call.
     """
     if task.kind == "generation":
         return evaluate_cell(task.model, task.payload, task.level,
@@ -206,9 +196,9 @@ class EvalCache(ManifestCache):
             + "\n"
 
     #: Field sets a cell blob must carry to round-trip through one of
-    #: the report from_dict constructors.
-    _SHAPES = ({"syntax_errors", "function_rate"},
-               {"syntax_iteration", "function_iteration"})
+    #: the cell ``from_dict`` constructors.
+    _SHAPES = tuple({field.name for field in fields(cell)}
+                    for cell in (CellResult, IterationResult))
 
     def _decode(self, text: str) -> dict:
         blob = json.loads(text)
@@ -316,3 +306,24 @@ class EvalEngine:
             computed=len(dirty), jobs=self.jobs,
             cache_enabled=cache is not None)
         return results
+
+
+def sweep(kind: str, models: list[BehavioralModel], payloads: list,
+          levels: tuple[str, ...], n_samples: int,
+          decode: Callable[[dict], object], engine=None
+          ) -> dict[str, dict[str, dict[str, object]]]:
+    """Evaluate every (model, payload, level) cell of one task kind in
+    one engine pass; returns model → payload → level → ``decode(blob)``.
+
+    ``engine`` defaults to a serial, uncached :class:`EvalEngine`; the
+    result is byte-identical for any engine setting.
+    """
+    engine = engine if engine is not None else EvalEngine()
+    blobs = iter(engine.run([
+        EvalTask(kind=kind, model=model, payload=payload, level=level,
+                 n_samples=n_samples)
+        for model in models for payload in payloads for level in levels]))
+    return {model.name: {payload.name: {level: decode(next(blobs))
+                                        for level in levels}
+                         for payload in payloads}
+            for model in models}

@@ -5,7 +5,9 @@ Benchmark construction follows the paper: the broken inputs are
 through the same mutation engine the augmentation framework uses.  Each
 model gets the broken file plus the real yosys-style feedback line and
 produces five repair attempts; syntax errors are counted by the checker
-and function by the testbench, like Table 3's columns.
+and function by the testbench, like Table 3's columns.  A repair cell is
+scored exactly like a generation cell (:func:`score_samples`), and the
+report is a :class:`GenerationReport` with the single level ``""``.
 
 Broken-case seeds are derived from the *content* of the reference design
 (not its position in the suite), so the benchmark — and therefore the
@@ -17,13 +19,13 @@ setting with byte-identical output.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bench.problems import Problem
 from ..checker import yosys_feedback
 from ..core.mutation import Mutator
 from ..llm.behavioral import BehavioralModel
-from .verilog_eval import evaluate_candidates
+from .verilog_eval import CellResult, GenerationReport, score_samples
 
 
 @dataclass(frozen=True)
@@ -34,37 +36,9 @@ class BrokenCase:
     broken: str
     feedback: str
 
-
-@dataclass
-class RepairCell:
-    syntax_errors: int
-    function_rate: float
-
     @property
-    def solved(self) -> bool:
-        return self.function_rate >= 0.999
-
-    def to_dict(self) -> dict:
-        return {"syntax_errors": self.syntax_errors,
-                "function_rate": self.function_rate}
-
-    @staticmethod
-    def from_dict(blob: dict) -> "RepairCell":
-        return RepairCell(syntax_errors=blob["syntax_errors"],
-                          function_rate=blob["function_rate"])
-
-
-@dataclass
-class RepairReport:
-    """model → problem → RepairCell."""
-
-    cells: dict[str, dict[str, RepairCell]] = field(default_factory=dict)
-
-    def success_rate(self, model: str) -> float:
-        rows = self.cells[model]
-        if not rows:
-            return 0.0
-        return sum(cell.solved for cell in rows.values()) / len(rows)
+    def name(self) -> str:
+        return self.problem.name
 
 
 def case_seed(problem: Problem, seed: int = 0) -> int:
@@ -99,36 +73,22 @@ def make_broken_case(problem: Problem, seed: int = 0) -> BrokenCase:
 
 
 def evaluate_repair_cell(model: BehavioralModel, case: BrokenCase,
-                         n_samples: int = 5) -> RepairCell:
+                         n_samples: int = 5) -> CellResult:
+    """One repair cell: n repair attempts → syntax count + best function."""
     attempts = model.repair_verilog(
         case.broken, case.feedback, case.problem.reference,
         case.problem.difficulty, n_samples=n_samples,
         problem_name=case.problem.name)
-    syntax_errors = 0
-    best = 0.0
-    for outcome in evaluate_candidates(attempts, case.problem):
-        if not outcome.syntax_ok:
-            syntax_errors += 1
-        best = max(best, outcome.pass_fraction)
-    return RepairCell(syntax_errors=syntax_errors, function_rate=best)
+    return score_samples(list(attempts), case.problem, n_samples)
 
 
 def evaluate_repair(models: list[BehavioralModel],
                     problems: list[Problem], seed: int = 0,
-                    n_samples: int = 5, engine=None) -> RepairReport:
+                    n_samples: int = 5, engine=None) -> GenerationReport:
     """Full Table-3 sweep over the RTLLM suite, on the shared engine."""
-    from .engine import EvalEngine, EvalTask
-    engine = engine if engine is not None else EvalEngine()
+    from .engine import sweep
     cases = [make_broken_case(problem, seed=case_seed(problem, seed))
              for problem in problems]
-    tasks = [EvalTask(kind="repair", model=model, payload=case,
-                      level="", n_samples=n_samples)
-             for model in models for case in cases]
-    blobs = iter(engine.run(tasks))
-    report = RepairReport()
-    for model in models:
-        report.cells[model.name] = {
-            case.problem.name: RepairCell.from_dict(next(blobs))
-            for case in cases
-        }
-    return report
+    return GenerationReport(cells=sweep(
+        "repair", models, cases, ("",), n_samples, CellResult.from_dict,
+        engine))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from ..bench.problems import PROMPT_LEVELS
 from ..llm.registry import get_profile
 from .passk import format_pct
-from .repair_eval import RepairReport
 from .script_eval import IterationResult, ScriptReport
 from .verilog_eval import GenerationReport
 
@@ -92,9 +91,10 @@ def render_table5(report: GenerationReport,
     return "\n".join(lines)
 
 
-def render_table3(report: RepairReport,
+def render_table3(report: GenerationReport,
                   problem_names: list[str]) -> str:
-    """Paper Table 3: per-design repair syntax/function + success rate."""
+    """Paper Table 3: per-design repair syntax/function + success rate
+    (a repair report's one level is ``""``)."""
     models = list(report.cells)
     header = f"{'Benchmark':<18}" + "".join(
         f"{_display(m):>24}" for m in models)
@@ -104,7 +104,7 @@ def render_table3(report: RepairReport,
     for name in problem_names:
         row = f"{name:<18}"
         for model in models:
-            cell = report.cells[model][name]
+            cell = report.cell(model, name, "")
             row += (f"{cell.syntax_errors:>12}"
                     f"{format_pct(cell.function_rate, 0):>12}")
         lines.append(row)

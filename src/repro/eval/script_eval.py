@@ -51,6 +51,12 @@ class ScriptReport:
         field(default_factory=dict)
     max_attempts: int = 10
 
+    def subset(self, models: list[str]) -> "ScriptReport":
+        """The report of ``models`` alone, in that order."""
+        return ScriptReport(
+            results={name: self.results[name] for name in models},
+            max_attempts=self.max_attempts)
+
     def average(self, model: str) -> tuple[float | None, float | None]:
         """Mean iterations (None if any task never succeeded)."""
         rows = self.results[model].values()
@@ -84,16 +90,10 @@ def evaluate_scripts(models: list[BehavioralModel],
                      tasks: list[ScriptTask],
                      max_attempts: int = 10, engine=None) -> ScriptReport:
     """Full Table-4 sweep on the shared engine."""
-    from .engine import EvalEngine, EvalTask
-    engine = engine if engine is not None else EvalEngine()
-    eval_tasks = [EvalTask(kind="script", model=model, payload=task,
-                           level="", n_samples=max_attempts)
-                  for model in models for task in tasks]
-    blobs = iter(engine.run(eval_tasks))
-    report = ScriptReport(max_attempts=max_attempts)
-    for model in models:
-        report.results[model.name] = {
-            task.name: IterationResult.from_dict(next(blobs))
-            for task in tasks
-        }
-    return report
+    from .engine import sweep
+    cells = sweep("script", models, tasks, ("",), max_attempts,
+                  IterationResult.from_dict, engine)
+    return ScriptReport(
+        results={model: {task: levels[""] for task, levels in rows.items()}
+                 for model, rows in cells.items()},
+        max_attempts=max_attempts)

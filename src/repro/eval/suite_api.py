@@ -1,40 +1,121 @@
-"""One shared "run benchmark suite X" entry point.
+"""The evaluation-suite table and one shared "run suite X" entry point.
 
-``repro evaluate`` and the job service (:mod:`repro.serve`) both need
-the same operation — resolve a suite by registry name, sweep it through
-the shared :class:`~repro.eval.engine.EvalEngine`, and render the
-paper-style table — so it lives here once.  The split into
-:func:`suite_report` / :func:`subset_report` / :func:`render_suite`
-exists for the service's batching: several same-suite jobs evaluate as
-*one* engine pass over the union of their models, then each job renders
-its own model subset — byte-identical to running that job alone,
-because every model's cells are independent and deterministic.
+Every evaluation suite is one :data:`SUITES` entry: its payloads, the
+engine sweep that scores them, whether it is swept at prompt levels,
+its default models and sample budget, its renderer and its scores.
+``repro evaluate``, the job service (:mod:`repro.serve`) and the table
+drivers all look the entry up, so adding a suite means adding one
+entry here.
+
+The split into :func:`suite_report` / :func:`render_suite` exists for
+the service's batching: several same-suite jobs evaluate as *one*
+engine pass over the union of their models, then each job renders its
+own model subset (``report.subset``) — byte-identical to running that
+job alone, because every model's cells are independent and
+deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+
+from ..bench import GENERATION_SUITES, rtllm_suite, scgen_suite
+from ..llm import (TABLE3_MODEL_ORDER, TABLE4_MODEL_ORDER,
+                   TABLE5_MODEL_ORDER, get_model, register_artifact)
+from .repair_eval import evaluate_repair
+from .reporting import render_table3, render_table4, render_table5
+from .script_eval import evaluate_scripts
+from .verilog_eval import evaluate_generation
 
 #: Prompt levels swept by generation suites (paper order).
 DEFAULT_LEVELS = ("low", "middle", "high")
 
 
+@dataclass(frozen=True)
+class Suite:
+    """One evaluation suite: everything that differs between suites."""
+
+    payloads: Callable[[], tuple]   #: its problems or script tasks
+    #: ``(models, payloads, levels, samples, seed, engine) -> report``:
+    #: the engine sweep of the suite's task kind.
+    evaluate: Callable[..., object]
+    levels: bool                    #: swept at prompt levels
+    models: tuple[str, ...]         #: default columns, paper order
+    samples: int                    #: default sample budget per cell
+    #: ``(report, payloads, levels, k) -> str``: the paper-style table.
+    render: Callable[..., str]
+    #: ``(report, k) -> {model: {metric: value}}``.
+    scores: Callable[..., dict]
+
+
+def _names(payloads) -> list[str]:
+    return [payload.name for payload in payloads]
+
+
+def _render_generation(report, problems, levels, k) -> str:
+    return render_table5(
+        report, [p.name for p in problems if p.suite == "thakur"],
+        [p.name for p in problems if p.suite == "rtllm"],
+        levels=levels, pass_k=k)
+
+
+def _generation_scores(report, k) -> dict[str, dict]:
+    return {model: {"solve_rate": report.success_rate(model),
+                    "pass_at_k": report.pass_at_k(model, k)}
+            for model in report.cells}
+
+
+def _repair_scores(report, k) -> dict[str, dict]:
+    return {model: {"solve_rate": report.success_rate(model)}
+            for model in report.cells}
+
+
+def _script_scores(report, k) -> dict[str, dict]:
+    scores = {}
+    for model in report.results:
+        avg_syntax, avg_function = report.average(model)
+        scores[model] = {"avg_syntax_iterations": avg_syntax,
+                         "avg_function_iterations": avg_function}
+    return scores
+
+
+#: Suite id → entry.  The generation suites are the named problem sets
+#: of :data:`repro.bench.GENERATION_SUITES`.
+SUITES: dict[str, Suite] = {
+    **{name: Suite(
+        payloads=problems,
+        evaluate=lambda models, problems, levels, samples, seed, engine:
+            evaluate_generation(models, problems, levels, samples,
+                                engine),
+        levels=True, models=TABLE5_MODEL_ORDER, samples=5,
+        render=_render_generation, scores=_generation_scores)
+       for name, problems in sorted(GENERATION_SUITES.items())},
+    "repair": Suite(
+        payloads=rtllm_suite,
+        evaluate=lambda models, problems, levels, samples, seed, engine:
+            evaluate_repair(models, problems, seed, samples, engine),
+        levels=False, models=TABLE3_MODEL_ORDER, samples=5,
+        render=lambda report, problems, levels, k:
+            render_table3(report, _names(problems)),
+        scores=_repair_scores),
+    "scripts": Suite(
+        payloads=scgen_suite,
+        evaluate=lambda models, tasks, levels, samples, seed, engine:
+            evaluate_scripts(models, tasks, samples, engine),
+        levels=False, models=TABLE4_MODEL_ORDER, samples=10,
+        render=lambda report, tasks, levels, k:
+            render_table4(report, _names(tasks)),
+        scores=_script_scores),
+}
+
+#: Every suite id ``repro evaluate --suite`` accepts, in table order.
+EVAL_SUITES: tuple[str, ...] = tuple(SUITES)
+
+
 def suite_models(suite: str, names: list[str] | None = None) -> list[str]:
     """Model names for a suite — the paper's column order by default."""
-    if names:
-        return list(names)
-    from ..llm import (TABLE3_MODEL_ORDER, TABLE4_MODEL_ORDER,
-                       TABLE5_MODEL_ORDER)
-    if suite == "repair":
-        return list(TABLE3_MODEL_ORDER)
-    if suite == "scripts":
-        return list(TABLE4_MODEL_ORDER)
-    return list(TABLE5_MODEL_ORDER)
-
-
-def default_samples(suite: str) -> int:
-    """Sample budget per cell (the paper's pass@10 for scripts)."""
-    return 10 if suite == "scripts" else 5
+    return list(names) if names else list(SUITES[suite].models)
 
 
 @dataclass
@@ -52,72 +133,21 @@ def suite_report(suite: str, model_names: list[str],
                  levels: tuple[str, ...] | None = None, seed: int = 0,
                  engine=None):
     """Evaluate ``suite`` for ``model_names`` in one engine pass."""
-    from ..bench import GENERATION_SUITES, generation_suite, scgen_suite
-    from ..llm import get_model
-    from .repair_eval import evaluate_repair
-    from .script_eval import evaluate_scripts
-    from .verilog_eval import evaluate_generation
-    models = [get_model(name) for name in model_names]
-    samples = samples if samples is not None else default_samples(suite)
-    if suite in GENERATION_SUITES:
-        return evaluate_generation(
-            models, list(generation_suite(suite)),
-            levels=tuple(levels) if levels else DEFAULT_LEVELS,
-            n_samples=samples, engine=engine)
-    if suite == "repair":
-        from ..bench import rtllm_suite
-        return evaluate_repair(models, list(rtllm_suite()), seed=seed,
-                               n_samples=samples, engine=engine)
-    if suite == "scripts":
-        return evaluate_scripts(models, list(scgen_suite()),
-                                max_attempts=samples, engine=engine)
-    raise KeyError(f"unknown eval suite '{suite}'")
-
-
-def subset_report(suite: str, report, model_names: list[str]):
-    """The sub-report for ``model_names``, in that order.
-
-    Cells are per-model and deterministic, so a subset of a union-run
-    report is byte-identical to a report computed for the subset alone.
-    """
-    from .repair_eval import RepairReport
-    from .script_eval import ScriptReport
-    from .verilog_eval import GenerationReport
-    if isinstance(report, GenerationReport):
-        return GenerationReport(
-            cells={name: report.cells[name] for name in model_names})
-    if isinstance(report, RepairReport):
-        return RepairReport(
-            cells={name: report.cells[name] for name in model_names})
-    if isinstance(report, ScriptReport):
-        return ScriptReport(
-            results={name: report.results[name] for name in model_names},
-            max_attempts=report.max_attempts)
-    raise TypeError(f"unsupported report type {type(report).__name__}")
+    entry = SUITES[suite]
+    return entry.evaluate(
+        [get_model(name) for name in model_names], list(entry.payloads()),
+        tuple(levels) if levels else DEFAULT_LEVELS,
+        samples if samples is not None else entry.samples, seed, engine)
 
 
 def render_suite(suite: str, report,
                  levels: tuple[str, ...] | None = None,
                  pass_k: int = 5) -> str:
     """Render the paper-style table for an already-computed report."""
-    from ..bench import GENERATION_SUITES, generation_suite, scgen_suite
-    from .reporting import render_table3, render_table4, render_table5
-    if suite in GENERATION_SUITES:
-        problems = list(generation_suite(suite))
-        thakur = [p.name for p in problems if p.suite == "thakur"]
-        rtllm = [p.name for p in problems if p.suite == "rtllm"]
-        return render_table5(report, thakur, rtllm,
-                             levels=tuple(levels) if levels
-                             else DEFAULT_LEVELS,
-                             pass_k=pass_k)
-    if suite == "repair":
-        from ..bench import rtllm_suite
-        return render_table3(report,
-                             [p.name for p in rtllm_suite()])
-    if suite == "scripts":
-        return render_table4(report,
-                             [t.name for t in scgen_suite()])
-    raise KeyError(f"unknown eval suite '{suite}'")
+    entry = SUITES[suite]
+    return entry.render(report, list(entry.payloads()),
+                        tuple(levels) if levels else DEFAULT_LEVELS,
+                        pass_k)
 
 
 def suite_scores(suite: str, report, k: int = 5) -> dict[str, dict]:
@@ -129,24 +159,7 @@ def suite_scores(suite: str, report, k: int = 5) -> dict[str, dict]:
     from the same cells the table renders — so the scores are exactly
     as deterministic as the report.
     """
-    from .repair_eval import RepairReport
-    from .script_eval import ScriptReport
-    from .verilog_eval import GenerationReport
-    if isinstance(report, GenerationReport):
-        return {model: {"solve_rate": report.success_rate(model),
-                        "pass_at_k": report.pass_at_k(model, k)}
-                for model in report.cells}
-    if isinstance(report, RepairReport):
-        return {model: {"solve_rate": report.success_rate(model)}
-                for model in report.cells}
-    if isinstance(report, ScriptReport):
-        scores = {}
-        for model in report.results:
-            avg_syntax, avg_function = report.average(model)
-            scores[model] = {"avg_syntax_iterations": avg_syntax,
-                             "avg_function_iterations": avg_function}
-        return scores
-    raise TypeError(f"unsupported report type {type(report).__name__}")
+    return SUITES[suite].scores(report, k)
 
 
 def run_suite(suite: str, models: list[str] | None = None,
@@ -163,11 +176,8 @@ def run_suite(suite: str, models: list[str] | None = None,
     explicit ``models`` the artefact names are appended to the suite's
     paper column order.
     """
-    registered = []
-    if artifacts:
-        from ..llm import register_artifact
-        registered = [register_artifact(artifact).name
-                      for artifact in artifacts]
+    registered = [register_artifact(artifact).name
+                  for artifact in artifacts or ()]
     names = suite_models(suite, models)
     if models is None:
         names += [name for name in registered if name not in names]

@@ -44,8 +44,8 @@ class CellResult:
 
     syntax_errors: int
     function_rate: float
-    samples: int = 5
-    passes: int = 0     #: samples that fully passed the testbench
+    samples: int
+    passes: int         #: samples that fully passed the testbench
 
     @property
     def solved(self) -> bool:
@@ -60,16 +60,23 @@ class CellResult:
     def from_dict(blob: dict) -> "CellResult":
         return CellResult(syntax_errors=blob["syntax_errors"],
                           function_rate=blob["function_rate"],
-                          samples=blob.get("samples", 5),
-                          passes=blob.get("passes", 0))
+                          samples=blob["samples"], passes=blob["passes"])
 
 
 @dataclass
 class GenerationReport:
-    """model → problem → level → CellResult."""
+    """model → problem → level → CellResult.
+
+    A repair report is one too, with the single level ``""``.
+    """
 
     cells: dict[str, dict[str, dict[str, CellResult]]] = \
         field(default_factory=dict)
+
+    def subset(self, models: list[str]) -> "GenerationReport":
+        """The report of ``models`` alone, in that order."""
+        return GenerationReport(
+            cells={name: self.cells[name] for name in models})
 
     def cell(self, model: str, problem: str, level: str) -> CellResult:
         return self.cells[model][problem][level]
@@ -172,17 +179,14 @@ def evaluate_candidates(codes: list[str], problem: Problem
     return [results[code] for code in codes]
 
 
-def evaluate_cell(model: BehavioralModel, problem: Problem, level: str,
-                  n_samples: int = 5) -> CellResult:
-    """One benchmark cell: n samples → syntax count + best function."""
-    samples = model.generate_verilog(
-        problem.reference, problem.tier, problem.difficulty, level=level,
-        n_samples=n_samples, problem_name=problem.name,
-        prompt=problem.prompt(level))
+def score_samples(samples: list[str], problem: Problem,
+                  n_samples: int) -> CellResult:
+    """One cell's verdict: syntax errors, full passes and the best
+    function rate over a model's samples for ``problem``."""
     syntax_errors = 0
     passes = 0
     best = 0.0
-    for outcome in evaluate_candidates(list(samples), problem):
+    for outcome in evaluate_candidates(samples, problem):
         if not outcome.syntax_ok:
             syntax_errors += 1
         if outcome.passed:
@@ -190,6 +194,16 @@ def evaluate_cell(model: BehavioralModel, problem: Problem, level: str,
         best = max(best, outcome.pass_fraction)
     return CellResult(syntax_errors=syntax_errors, function_rate=best,
                       samples=n_samples, passes=passes)
+
+
+def evaluate_cell(model: BehavioralModel, problem: Problem, level: str,
+                  n_samples: int = 5) -> CellResult:
+    """One benchmark cell: n samples → syntax count + best function."""
+    samples = model.generate_verilog(
+        problem.reference, problem.tier, problem.difficulty, level=level,
+        n_samples=n_samples, problem_name=problem.name,
+        prompt=problem.prompt(level))
+    return score_samples(list(samples), problem, n_samples)
 
 
 def evaluate_generation(models: list[BehavioralModel],
@@ -203,24 +217,10 @@ def evaluate_generation(models: list[BehavioralModel],
     serial, uncached one).  The report is byte-identical regardless of
     the engine's ``jobs`` setting or cache state.
     """
-    from .engine import EvalEngine, EvalTask
-    engine = engine if engine is not None else EvalEngine()
-    tasks = [EvalTask(kind="generation", model=model, payload=problem,
-                      level=level, n_samples=n_samples)
-             for model in models
-             for problem in problems
-             for level in levels]
-    blobs = iter(engine.run(tasks))
-    report = GenerationReport()
-    for model in models:
-        model_cells: dict[str, dict[str, CellResult]] = {}
-        for problem in problems:
-            model_cells[problem.name] = {
-                level: CellResult.from_dict(next(blobs))
-                for level in levels
-            }
-        report.cells[model.name] = model_cells
-    return report
+    from .engine import sweep
+    return GenerationReport(cells=sweep(
+        "generation", models, problems, levels, n_samples,
+        CellResult.from_dict, engine))
 
 
 def clear_cache() -> None:

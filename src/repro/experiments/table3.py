@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bench import rtllm_suite
-from ..eval import RepairReport, evaluate_repair, render_table3
-from ..llm import TABLE3_MODEL_ORDER, get_model
+from ..eval import GenerationReport
+from ..eval.suite_api import SUITES
+from ..llm import get_model
 
 PAPER_SUCCESS = {
     "ours-13b": 0.724,
@@ -22,7 +22,7 @@ PAPER_SUCCESS = {
 
 @dataclass
 class Table3Result:
-    report: RepairReport
+    report: GenerationReport
     rendered: str
 
     def success(self, model: str) -> float:
@@ -31,12 +31,13 @@ class Table3Result:
 
 def run_table3(seed: int = 0, n_samples: int = 5,
                quick: bool = False, engine=None) -> Table3Result:
-    problems = list(rtllm_suite())
+    """Regenerate Table 3 from the ``repair`` suite; quick mode scores
+    every third design with 3 samples."""
+    repair = SUITES["repair"]
+    problems = repair.payloads()
     if quick:
-        problems = problems[::3]
-        n_samples = 3
-    models = [get_model(name) for name in TABLE3_MODEL_ORDER]
-    report = evaluate_repair(models, problems, seed=seed,
-                             n_samples=n_samples, engine=engine)
-    rendered = render_table3(report, [p.name for p in problems])
-    return Table3Result(report=report, rendered=rendered)
+        problems, n_samples = problems[::3], 3
+    models = [get_model(name) for name in repair.models]
+    report = repair.evaluate(models, problems, (), n_samples, seed, engine)
+    return Table3Result(report=report,
+                        rendered=repair.render(report, problems, (), 5))

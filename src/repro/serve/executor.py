@@ -176,6 +176,17 @@ def _trained_artifact(spec: dict,
     return artifact
 
 
+def artifact_weights(artifact: dict, owner: str) -> dict:
+    """The weights bundle ``artifact`` embeds; ``owner`` names the
+    artefact in the error raised when it has none."""
+    weights = artifact.get("weights")
+    if weights is None:
+        raise RuntimeError(
+            f"{owner} carries no weights bundle (trained by a "
+            "pre-inference repro.train?)")
+    return weights
+
+
 def _execute_infer(jobs: list[Job],
                    resolve: Callable[[str], dict | None] | None
                    ) -> dict[str, JobOutcome]:
@@ -190,11 +201,9 @@ def _execute_infer(jobs: list[Job],
     """
     from ..infer import sample_tokens, shared_host
     from ..train.data import stable_seed
-    weights = _trained_artifact(jobs[0].spec, resolve).get("weights")
-    if weights is None:
-        raise RuntimeError(
-            f"artefact of job {jobs[0].spec['trained']['job']} carries no "
-            "weights bundle (trained by a pre-inference repro.train?)")
+    weights = artifact_weights(
+        _trained_artifact(jobs[0].spec, resolve),
+        f"artefact of job {jobs[0].spec['trained']['job']}")
     loaded = shared_host().load_bundle(weights)
     tokenizer = loaded.tokenizer
     rows, temps, seeds, spans = [], [], [], []
@@ -263,8 +272,7 @@ def _execute_evaluate(jobs: list[Job],
     The whole batch shares one compat key, so the leader's ``trained``
     dependency (registered before the pass) is everyone's.
     """
-    from ..eval.suite_api import (render_suite, subset_report,
-                                  suite_report, suite_scores)
+    from ..eval.suite_api import render_suite, suite_report, suite_scores
     from ..llm import register_artifact
     leader = jobs[0].spec
     if leader.get("trained") is not None:
@@ -280,7 +288,7 @@ def _execute_evaluate(jobs: list[Job],
                           seed=leader["seed"], engine=engine)
     outcomes = {}
     for job in jobs:
-        sub = subset_report(leader["suite"], report, job.spec["models"])
+        sub = report.subset(job.spec["models"])
         rendered = render_suite(leader["suite"], sub, levels=levels,
                                 pass_k=job.spec["k"])
         outcomes[job.id] = JobOutcome(ok=True, blob={

@@ -204,8 +204,7 @@ def _normalize_infer(spec: dict) -> dict:
 
 
 def _normalize_evaluate(spec: dict) -> dict:
-    from ..bench import EVAL_SUITES, GENERATION_SUITES
-    from ..eval.suite_api import (DEFAULT_LEVELS, default_samples,
+    from ..eval.suite_api import (DEFAULT_LEVELS, EVAL_SUITES, SUITES,
                                   suite_models)
     from ..llm import get_model
     suite = spec.get("suite")
@@ -222,7 +221,7 @@ def _normalize_evaluate(spec: dict) -> dict:
         except KeyError:
             raise SpecError(f"unknown model '{name}'") from None
     levels = spec.get("levels")
-    if suite in GENERATION_SUITES:
+    if SUITES[suite].levels:
         if levels:
             _require(isinstance(levels, list)
                      and all(level in DEFAULT_LEVELS
@@ -236,7 +235,7 @@ def _normalize_evaluate(spec: dict) -> dict:
         levels = []
     samples = spec.get("samples")
     if samples is None:
-        samples = default_samples(suite)
+        samples = SUITES[suite].samples
     _require(isinstance(samples, int) and samples > 0,
              "'samples' must be a positive integer")
     out = {"suite": suite, "models": models, "samples": samples,

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.bench import EVAL_SUITES, generation_suite, scgen_suite, thakur_suite
-from repro.eval import (EvalEngine, EvalTask, clear_cache,
+from repro.bench import generation_suite, scgen_suite, thakur_suite
+from repro.eval import (EVAL_SUITES, EvalEngine, EvalTask, clear_cache,
                         evaluate_generation, evaluate_repair,
                         evaluate_scripts, render_table4, render_table5,
                         run_eval_task)

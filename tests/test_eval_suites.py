@@ -2,22 +2,25 @@
 
 ``tests/golden/eval_suites.json`` holds sha256 digests of what each
 suite id renders and scores through :func:`repro.eval.run_suite`, of
-the quick Tables 3, 4 and 5, and of the result blobs of one batched
+the quick Tables 3, 4 and 5, of the result blobs of one batched
 ``evaluate`` job pair whose model subsets differ (the service renders
-each job from a sub-report of one union sweep).  Refactoring how a
-suite is defined or swept must not move any of them.
+each job from a sub-report of one union sweep), and of each suite's
+normalised ``evaluate`` spec (journaled, and the batching compat key).
+Refactoring how a suite is defined or swept must not move any of them.
 """
 
 import hashlib
 import json
 
-from repro.bench import EVAL_SUITES
 from repro.eval import EvalEngine
 from repro.eval.suite_api import run_suite, suite_models, suite_scores
 from repro.experiments import run_selected
 from repro.serve import Job, validate_spec
 from repro.serve.executor import execute_batch
 
+#: Every suite id ``repro evaluate --suite`` accepts.
+SUITE_IDS = ("generation", "rtllm", "rtllm-full", "thakur", "repair",
+             "scripts")
 ALL_LEVELS = ("low", "middle", "high")
 
 
@@ -26,7 +29,7 @@ def _sha(text: str) -> str:
 
 
 def _suite_pins() -> dict:
-    runs = [(suite, ("middle",)) for suite in EVAL_SUITES]
+    runs = [(suite, ("middle",)) for suite in SUITE_IDS]
     runs.append(("thakur", ALL_LEVELS))
     pins = {}
     for suite, levels in runs:
@@ -62,7 +65,18 @@ def _batch_pins(workdir: str) -> dict:
     return pins
 
 
+def _spec_pins() -> dict:
+    pins = {}
+    for suite in SUITE_IDS:
+        for extra in ({}, {"levels": ["middle"]}):
+            spec = validate_spec("evaluate", dict(extra, suite=suite))
+            pins[f"{suite}/{','.join(extra.get('levels', []))}"] = _sha(
+                json.dumps(spec, sort_keys=True))
+    return pins
+
+
 def test_every_suite_matches_golden(tmp_path, golden):
     golden("eval_suites.json", {
         "suites": _suite_pins(), "tables": _table_pins(),
-        "batch": _batch_pins(str(tmp_path / "work"))})
+        "batch": _batch_pins(str(tmp_path / "work")),
+        "specs": _spec_pins()})

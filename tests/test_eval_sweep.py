@@ -21,11 +21,11 @@ from repro.checker import check_source, check_source_tree
 from repro.eval import (EvalEngine, case_seed, clear_cache,
                         evaluate_repair_cell, make_broken_case)
 from repro.eval import verilog_eval
-from repro.eval.verilog_eval import evaluate_candidates
-from repro.eval.repair_eval import RepairCell
+from repro.eval.verilog_eval import CellResult, evaluate_candidates
 from repro.eval.suite_api import run_suite, suite_scores
 from repro.llm import TABLE3_MODEL_ORDER, TABLE5_MODEL_ORDER, get_model
 from repro.sim import run_testbench
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -106,13 +106,14 @@ def test_candidates_and_testbench_are_parsed_once(monkeypatch):
     assert len(parsed) == 3
 
 
-def _per_candidate_repair_cell(model, case) -> RepairCell:
+def _per_candidate_repair_cell(model, case) -> CellResult:
     """Table 3 scoring as one check + one simulation per attempt."""
     attempts = model.repair_verilog(
         case.broken, case.feedback, case.problem.reference,
         case.problem.difficulty, n_samples=5,
         problem_name=case.problem.name)
     syntax_errors = 0
+    passes = 0
     best = 0.0
     for code in attempts:
         if not check_source(code, f"./{case.problem.name}.v").ok:
@@ -121,7 +122,10 @@ def _per_candidate_repair_cell(model, case) -> RepairCell:
         verdict = run_testbench(code, case.problem.testbench)
         if verdict.ok:
             best = max(best, verdict.pass_fraction)
-    return RepairCell(syntax_errors=syntax_errors, function_rate=best)
+            if verdict.pass_fraction >= 0.999:
+                passes += 1
+    return CellResult(syntax_errors=syntax_errors, function_rate=best,
+                      samples=len(attempts), passes=passes)
 
 
 @pytest.mark.parametrize("model_name", TABLE3_MODEL_ORDER)

@@ -152,6 +152,30 @@ class TestCliRunsJobCode:
         assert out.read_text() == json.dumps(
             blob, indent=2, sort_keys=True) + "\n"
 
+    def test_infer_without_weights_names_the_reason(self, tmp_path,
+                                                    capsys):
+        profile = dataclasses.replace(PROFILES["llama2-13b"],
+                                      name="fresh",
+                                      display="Trained(fresh)")
+        artifact = {"name": "fresh",
+                    "profile": dataclasses.asdict(profile)}
+        path = tmp_path / "noweights.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["infer", str(path), "--prompt", "x"]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot decode {path}: the artefact carries no weights "
+            "bundle (trained by a pre-inference repro.train?)\n")
+        # The service's job error keeps its class and dependency id.
+        job = _job(2, "infer", validate_spec("infer", {
+            "prompts": ["x"],
+            "trained": {"name": "fresh", "job": "job-000001"}}))
+        result = execute_batch(
+            "infer", [job], str(tmp_path / "work"),
+            resolve={"job-000001": {"artifact": artifact}}.get)
+        assert result.outcomes[job.id].error == (
+            "RuntimeError: artefact of job job-000001 carries no weights "
+            "bundle (trained by a pre-inference repro.train?)")
+
     def test_train_report_is_the_train_job_blob(self, tmp_path):
         corpus = _corpus(tmp_path)
         report = tmp_path / "report.json"
