@@ -11,10 +11,21 @@ rejects when the paper's augmentation framework feeds it mutated files:
 * header ports never declared,
 * instance connections naming unknown ports,
 * width-mismatch warnings on continuous assigns (best effort).
+
+The checker reads parameter values and range widths through the
+toolchain's one declaration API in :mod:`repro.sim.elaborate`
+(:func:`~repro.sim.elaborate.eval_params`,
+:func:`~repro.sim.elaborate.range_width`), so it sizes a signal exactly
+as the simulator and the synthesizer do; where they would raise, the
+checker reads the width as unknown and stays silent.  The merge rules
+(which redeclarations are duplicates, which header ports are
+undeclared) are lint policy and stay here.
 """
 
 from __future__ import annotations
 
+from ..sim.elaborate import (ElaborationError, const_int, eval_params,
+                             range_width)
 from ..verilog import ast, parse
 from ..verilog.errors import VerilogError
 from .messages import ERROR, WARNING, CheckResult, Diagnostic
@@ -31,7 +42,11 @@ class _ModuleSymbols:
         self.lines: dict[str, int] = {}
         self.widths: dict[str, int | None] = {}
         self.arrays: set[str] = set()
-        self.params: dict[str, int | None] = {}
+        # Values of the parameters that are constant; ``param_names``
+        # holds every declared one.
+        self.params = eval_params(module, partial=True)
+        self.param_names = {assign.name for decl in module.param_decls()
+                            for assign in decl.assignments}
         self.functions: set[str] = set()
         self.duplicates: list[tuple[str, int]] = []
         self._collect()
@@ -58,32 +73,15 @@ class _ModuleSymbols:
         self.widths[name] = width
         return
 
-    def _range_width(self, rng: ast.Range | None) -> int | None:
-        if rng is None:
-            return 1
-        try:
-            msb = _static_int(rng.msb, self.params)
-            lsb = _static_int(rng.lsb, self.params)
-        except _NotStatic:
-            return None
-        return abs(msb - lsb) + 1
-
     def _collect(self) -> None:
         module = self.module
-        for decl in module.params:
-            for assign in decl.assignments:
-                self.params[assign.name] = _try_static(assign.init,
-                                                       self.params)
-        for item in module.items:
-            if isinstance(item, ast.ParamDecl):
-                for assign in item.assignments:
-                    self.params[assign.name] = _try_static(assign.init,
-                                                           self.params)
+        # Declarations merge in source order: whether a redeclaration is
+        # a duplicate depends on what came before it.
         for port in module.ports:
             if port.decl is not None:
                 kind = port.decl.net_kind or "wire"
                 self._merge(port.name, kind, port.line,
-                            self._range_width(port.decl.range), True)
+                            _width(port.decl.range, self.params), True)
             else:
                 self.kinds.setdefault(port.name, "port")
                 self.lines.setdefault(port.name, port.line)
@@ -93,9 +91,9 @@ class _ModuleSymbols:
                 kind = item.net_kind or "wire"
                 for name in item.names:
                     self._merge(name, kind, item.line,
-                                self._range_width(item.range), True)
+                                _width(item.range, self.params), True)
             elif isinstance(item, ast.Decl):
-                width = self._range_width(item.range)
+                width = _width(item.range, self.params)
                 if item.kind == "integer":
                     width = 32
                 for decl in item.declarators:
@@ -106,77 +104,35 @@ class _ModuleSymbols:
             elif isinstance(item, ast.FunctionDecl):
                 self.functions.add(item.name)
             elif isinstance(item, (ast.Always, ast.Initial)):
-                self._collect_block_locals(item.body)
-
-    def _collect_block_locals(self, stmt: ast.Stmt | None) -> None:
-        if isinstance(stmt, ast.Block):
-            for child in stmt.stmts:
-                if isinstance(child, ast.Decl):
-                    width = self._range_width(child.range)
-                    for decl in child.declarators:
-                        self._merge(decl.name, child.kind, child.line,
+                for local in ast.block_decls(item.body):
+                    width = _width(local.range, self.params)
+                    for decl in local.declarators:
+                        self._merge(decl.name, local.kind, local.line,
                                     width, False)
-                else:
-                    self._collect_block_locals(child)
-        elif isinstance(stmt, ast.IfStmt):
-            self._collect_block_locals(stmt.then_stmt)
-            self._collect_block_locals(stmt.else_stmt)
-        elif isinstance(stmt, ast.CaseStmt):
-            for item in stmt.items:
-                self._collect_block_locals(item.stmt)
-        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt, ast.RepeatStmt,
-                               ast.ForeverStmt)):
-            self._collect_block_locals(stmt.body)
-        elif isinstance(stmt, (ast.DelayStmt, ast.EventControlStmt,
-                               ast.WaitStmt)):
-            self._collect_block_locals(stmt.stmt)
 
     def is_declared(self, name: str) -> bool:
-        return (name in self.kinds or name in self.params
+        return (name in self.kinds or name in self.param_names
                 or name in self.functions)
 
     def kind_of(self, name: str) -> str | None:
         return self.kinds.get(name)
 
 
-class _NotStatic(Exception):
-    pass
-
-
-def _static_int(expr: ast.Expr, params: dict[str, int | None]) -> int:
-    if isinstance(expr, ast.Number):
-        try:
-            from ..sim.values import from_literal
-            value = from_literal(expr.text)
-        except (ValueError, KeyError):
-            raise _NotStatic() from None
-        if value.has_unknown:
-            raise _NotStatic()
-        return value.to_int()
-    if isinstance(expr, ast.Identifier):
-        value = params.get(expr.name)
-        if value is None:
-            raise _NotStatic()
-        return value
-    if isinstance(expr, ast.Binary):
-        left = _static_int(expr.left, params)
-        right = _static_int(expr.right, params)
-        ops = {"+": lambda: left + right, "-": lambda: left - right,
-               "*": lambda: left * right,
-               "/": lambda: left // right if right else 0}
-        if expr.op in ops:
-            return ops[expr.op]()
-        raise _NotStatic()
-    if isinstance(expr, ast.Unary) and expr.op == "-":
-        return -_static_int(expr.operand, params)
-    raise _NotStatic()
-
-
-def _try_static(expr: ast.Expr,
-                params: dict[str, int | None]) -> int | None:
+def _width(rng: ast.Range | ast.PartSelect | None,
+           params: dict) -> int | None:
+    """``rng``'s width, or None where elaboration would raise."""
     try:
-        return _static_int(expr, params)
-    except _NotStatic:
+        return range_width(rng, params)
+    except ElaborationError:
+        return None
+
+
+def _int(expr: ast.Expr, params: dict) -> int | None:
+    """``expr``'s constant value, or None where elaboration would
+    raise."""
+    try:
+        return const_int(expr, params)
+    except ElaborationError:
         return None
 
 
@@ -419,9 +375,8 @@ class Checker:
                            f"file", item.line)
             port_names = None
         else:
-            port_names = {p.name for p in target.ports}
-            for port_decl in target.items_of_type(ast.PortDecl):
-                port_names.update(port_decl.names)
+            port_names = {p.name for p in target.ports}.union(
+                name for decl in target.port_decls() for name in decl.names)
         for instance in item.instances:
             for conn in instance.connections:
                 if conn.name is not None and port_names is not None and \
@@ -447,7 +402,7 @@ def _expr_width(expr: ast.Expr,
     if isinstance(expr, ast.Number):
         return expr.width or 32
     if isinstance(expr, ast.Identifier):
-        if expr.name in symbols.params:
+        if expr.name in symbols.param_names:
             return 32
         return symbols.widths.get(expr.name)
     if isinstance(expr, ast.Unary):
@@ -477,9 +432,8 @@ def _expr_width(expr: ast.Expr,
             return None
         return sum(widths)
     if isinstance(expr, ast.Repl):
-        try:
-            count = _static_int(expr.count, {})
-        except _NotStatic:
+        count = _int(expr.count, {})
+        if count is None:
             return None
         widths = [_expr_width(p, symbols) for p in expr.parts]
         if any(w is None for w in widths):
@@ -492,13 +446,8 @@ def _expr_width(expr: ast.Expr,
         return 1
     if isinstance(expr, ast.PartSelect):
         if expr.mode == ":":
-            try:
-                msb = _static_int(expr.msb, symbols.params)
-                lsb = _static_int(expr.lsb, symbols.params)
-            except _NotStatic:
-                return None
-            return abs(msb - lsb) + 1
-        return _try_static(expr.lsb, symbols.params)
+            return _width(expr, symbols.params)
+        return _int(expr.lsb, symbols.params)
     return None
 
 

@@ -380,6 +380,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     prompts and knobs."""
     import tempfile
 
+    from .infer import shared_host
     from .serve import SpecError
     from .serve.executor import artifact_weights, execute_job
     artifact = json.loads(_read(args.artifact))
@@ -388,11 +389,13 @@ def cmd_infer(args: argparse.Namespace) -> int:
             "max_tokens": args.max_tokens,
             "temperature": args.temperature, "seed": args.seed}
     try:
-        artifact_weights(artifact, "the artefact")
+        # Loading the bundle here reports a malformed one without the
+        # job's exception class; the job then hits the host's cache.
+        shared_host().load_bundle(artifact_weights(artifact, "the artefact"))
         with tempfile.TemporaryDirectory(prefix="repro-infer-") as work:
             blob = execute_job("infer", spec, work,
                                resolve={"local": {"artifact": artifact}}.get)
-    except (SpecError, RuntimeError) as exc:
+    except (SpecError, RuntimeError, ValueError) as exc:
         print(f"cannot decode {args.artifact}: {exc}", file=sys.stderr)
         return 2
     for entry in blob["completions"]:

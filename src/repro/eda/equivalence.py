@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from ..sim import run_simulation
+from ..sim.elaborate import eval_params, range_width
 from ..verilog import ast, parse
 from .netlist_writer import _net_name, netlist_to_verilog
 from .synthesis import SynthesisError, Synthesizer
@@ -31,25 +32,14 @@ class EquivalenceResult:
 def _port_info(module: ast.Module) -> tuple[list[tuple[str, int]],
                                             list[tuple[str, int]]]:
     """(inputs, outputs) as (name, width) lists, header order."""
+    params = eval_params(module)
     directions: dict[str, str] = {}
     widths: dict[str, int] = {}
-
-    def record(decl: ast.PortDecl) -> None:
-        width = 1
-        if decl.range is not None:
-            from ..sim.elaborate import const_eval
-            msb = const_eval(decl.range.msb, {}).to_int()
-            lsb = const_eval(decl.range.lsb, {}).to_int()
-            width = abs(msb - lsb) + 1
+    for decl in module.port_decls():
+        width = range_width(decl.range, params)
         for port_name in decl.names:
             directions[port_name] = decl.direction
             widths[port_name] = width
-
-    for port in module.ports:
-        if port.decl is not None:
-            record(port.decl)
-    for item in module.items_of_type(ast.PortDecl):
-        record(item)
     inputs = [(p.name, widths.get(p.name, 1)) for p in module.ports
               if directions.get(p.name) == "input"]
     outputs = [(p.name, widths.get(p.name, 1)) for p in module.ports

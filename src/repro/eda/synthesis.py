@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim.elaborate import ElaborationError, const_eval
+from ..sim.elaborate import (ElaborationError, const_eval, eval_params,
+                             range_bounds, range_width)
 from ..sim.values import from_literal
 from ..verilog import VerilogError, ast, parse
 from .pdk import PDK, SKY130
@@ -122,10 +123,9 @@ class Synthesizer:
         self.module = module
         self.pdk = pdk
         self.netlist = Netlist(module=module.name)
-        self.params = self._eval_params()
+        self.params: dict = {}          # evaluated by run()
         self.signals: dict[str, list[str]] = {}   # name -> bit nets (LSB..)
         self.widths: dict[str, int] = {}
-        self.kinds: dict[str, str] = {}
         self._net_id = 0
 
     # -- helpers -----------------------------------------------------------
@@ -140,45 +140,19 @@ class Synthesizer:
                                        output=out))
         return out
 
-    def _eval_params(self) -> dict:
-        params = {}
-        decls = list(self.module.params) + \
-            self.module.items_of_type(ast.ParamDecl)
-        for decl in decls:
-            for assign in decl.assignments:
-                params[assign.name] = const_eval(assign.init, params)
-        return params
-
-    def _range_width(self, rng: ast.Range | None) -> int:
-        if rng is None:
-            return 1
-        msb = const_eval(rng.msb, self.params).to_int()
-        lsb = const_eval(rng.lsb, self.params).to_int()
-        return abs(msb - lsb) + 1
-
     # -- elaboration of signals ------------------------------------------
 
     def _declare(self) -> None:
         directions: dict[str, str] = {}
         port_widths: dict[str, int] = {}
-
-        def note_port(decl: ast.PortDecl) -> None:
+        for decl in self.module.port_decls():
+            width = range_width(decl.range, self.params)
             for name in decl.names:
                 directions[name] = decl.direction
-                port_widths[name] = self._range_width(decl.range)
-                if decl.net_kind:
-                    self.kinds[name] = decl.net_kind
-
-        for port in self.module.ports:
-            if port.decl is not None:
-                note_port(port.decl)
-        for item in self.module.items:
-            if isinstance(item, ast.PortDecl):
-                note_port(item)
-            elif isinstance(item, ast.Decl):
-                if item.kind == "genvar":
-                    continue
-                width = self._range_width(item.range)
+                port_widths[name] = width
+        for item in self.module.items_of_type(ast.Decl):
+            if item.kind != "genvar":
+                width = range_width(item.range, self.params)
                 if item.kind == "integer":
                     width = 32
                 for decl in item.declarators:
@@ -187,9 +161,7 @@ class Synthesizer:
                             f"memory '{decl.name}' is not synthesisable "
                             f"here")
                     self.widths[decl.name] = width
-                    self.kinds.setdefault(decl.name, item.kind)
-        for name, width in port_widths.items():
-            self.widths[name] = width
+        self.widths.update(port_widths)
         for port in self.module.ports:
             if port.name not in self.widths:
                 self.widths[port.name] = 1
@@ -202,7 +174,6 @@ class Synthesizer:
                 self.netlist.inputs.extend(bits)
             elif directions.get(name) == "output":
                 self.netlist.outputs.extend(bits)
-        self.directions = directions
 
     # -- expression bit-blasting -------------------------------------------
 
@@ -269,7 +240,7 @@ class Synthesizer:
         base_bits = self._bits(expr.base)
         try:
             index = const_eval(expr.index, self.params).to_int()
-        except Exception:
+        except ElaborationError:
             # variable index → mux tree
             sel_bits = self._bits(expr.index)
             return self._mux_tree(base_bits, sel_bits)
@@ -296,8 +267,7 @@ class Synthesizer:
             raise SynthesisError("complex part-select base")
         base_bits = self._bits(expr.base)
         if expr.mode == ":":
-            msb = const_eval(expr.msb, self.params).to_int()
-            lsb = const_eval(expr.lsb, self.params).to_int()
+            msb, lsb, _ = range_bounds(expr, self.params)
         else:
             start = const_eval(expr.msb, self.params).to_int()
             width = const_eval(expr.lsb, self.params).to_int()
@@ -409,7 +379,7 @@ class Synthesizer:
         fill = left[-1] if expr.op == ">>>" else ZERO
         try:
             amount = const_eval(expr.right, self.params).to_int()
-        except Exception:
+        except ElaborationError:
             return self._barrel_shift(expr.op, left, fill,
                                       self._bits(expr.right))
         if expr.op in ("<<", "<<<"):
@@ -572,11 +542,9 @@ class Synthesizer:
                 index = const_eval(lhs.index, self.params).to_int()
                 current[index] = self.bits(rhs, 1)[0]
             else:
-                msb = const_eval(lhs.msb, self.params).to_int()
-                lsb = const_eval(lhs.lsb, self.params).to_int()
-                lo, hi = min(msb, lsb), max(msb, lsb)
-                new_bits = self.bits(rhs, hi - lo + 1)
-                current[lo:hi + 1] = new_bits
+                msb, lsb, width = range_bounds(lhs, self.params)
+                lo = min(msb, lsb)
+                current[lo:lo + width] = self.bits(rhs, width)
             env[name] = current
             return env
         raise SynthesisError("unsupported assignment target")
@@ -598,19 +566,25 @@ class Synthesizer:
     # -- top level ------------------------------------------------------
 
     def run(self) -> Netlist:
-        self._declare()
-        driven: dict[str, list[str]] = {}
-        for item in self.module.items:
-            if isinstance(item, ast.ContinuousAssign):
-                for lhs, rhs in item.assignments:
-                    driven.update(self._assign_update(lhs, rhs, {}))
-            elif isinstance(item, ast.Always):
-                self._synthesize_always(item, driven)
-            elif isinstance(item, ast.Initial):
-                continue   # simulation-only
-            elif isinstance(item, ast.Instantiation):
-                raise SynthesisError(
-                    "hierarchical synthesis not supported; flatten first")
+        """Bit-blast the module.  A parameter, range or select that is
+        not constant where synthesis needs one raises
+        :class:`SynthesisError` with the elaborator's message."""
+        try:
+            self.params = eval_params(self.module)
+            self._declare()
+            driven: dict[str, list[str]] = {}
+            for item in self.module.items:
+                if isinstance(item, ast.ContinuousAssign):
+                    for lhs, rhs in item.assignments:
+                        driven.update(self._assign_update(lhs, rhs, {}))
+                elif isinstance(item, ast.Always):
+                    self._synthesize_always(item, driven)
+                elif isinstance(item, ast.Instantiation):
+                    raise SynthesisError(
+                        "hierarchical synthesis not supported; flatten "
+                        "first")
+        except ElaborationError as exc:
+            raise SynthesisError(str(exc)) from exc
         # Rebind driven signals: replace placeholder nets with driver nets.
         self._rebind(driven)
         return self.netlist

@@ -61,12 +61,6 @@ class Ruleset:
     # -- structure helpers -------------------------------------------------
 
     @staticmethod
-    def _port_decls(module: ast.Module) -> list[ast.PortDecl]:
-        decls = [p.decl for p in module.ports if p.decl is not None]
-        decls.extend(module.items_of_type(ast.PortDecl))
-        return decls
-
-    @staticmethod
     def _decl_width(rng: ast.Range | None) -> str:
         if rng is None:
             return "1"
@@ -95,7 +89,7 @@ class Ruleset:
 
     def rule_port_widths(self, module: ast.Module) -> list[DescriptionLine]:
         inputs: list[tuple[str, str, int]] = []
-        for decl in self._port_decls(module):
+        for decl in module.port_decls():
             if decl.direction != "input":
                 continue
             width = self._decl_width(decl.range)
@@ -115,7 +109,7 @@ class Ruleset:
 
     def rule_output_decls(self, module: ast.Module) -> list[DescriptionLine]:
         out: list[DescriptionLine] = []
-        for decl in self._port_decls(module):
+        for decl in module.port_decls():
             if decl.direction == "input":
                 continue
             kind = decl.net_kind or "wire"
@@ -168,8 +162,7 @@ class Ruleset:
 
     def rule_parameters(self, module: ast.Module) -> list[DescriptionLine]:
         out: list[DescriptionLine] = []
-        decls = list(module.params) + module.items_of_type(ast.ParamDecl)
-        for decl in decls:
+        for decl in module.param_decls():
             for assign in decl.assignments:
                 text = T.PARAMETER_DECL.format(
                     kind=decl.kind, name=assign.name,

@@ -9,6 +9,14 @@ the processes the engine will schedule:
 * ``initial`` blocks,
 * continuous assigns,
 * implicit connection assigns created for instance ports.
+
+This module also holds the one constant and declaration reader the whole
+toolchain shares (the lint checker, the simulator, the synthesizer and
+the equivalence checker): :func:`const_eval` evaluates a constant
+expression, :func:`eval_params` a module's parameters (with instance
+overrides), and :func:`range_bounds` / :func:`range_width` a packed
+range.  No other code evaluates a parameter or sizes a declared range
+(the NL rules only render a range's source text).
 """
 
 from __future__ import annotations
@@ -103,17 +111,33 @@ class Design:
 # Constant expression evaluation (parameters, ranges)
 # --------------------------------------------------------------------------
 
+#: The widest vector a range may declare: IEEE 1364's minimum limit on
+#: vector length (the widest vector in the suites and corpus is 64 bits).
+MAX_WIDTH = 1 << 16
+
 _CONST_BINOPS = {
     "+": V.add, "-": V.sub, "*": V.mul, "/": V.div, "%": V.mod,
     "&": V.bit_and, "|": V.bit_or, "^": V.bit_xor,
+    "~^": V.bit_xnor, "^~": V.bit_xnor,
     "&&": V.logic_and, "||": V.logic_or, "**": V.power,
+    "<<": V.shift_left, "<<<": V.shift_left,
+    ">>": V.shift_right, ">>>": V.shift_right,
 }
+_CONST_COMPARES = frozenset({"==", "!=", "===", "!==", "<", "<=", ">",
+                             ">="})
 
 
 def const_eval(expr: ast.Expr, params: dict[str, V.Value]) -> V.Value:
-    """Evaluate a compile-time constant expression over ``params``."""
+    """Evaluate a compile-time constant expression over ``params``.
+
+    Raises :class:`ElaborationError`, and nothing else, when ``expr`` is
+    not a constant this evaluator supports."""
     if isinstance(expr, ast.Number):
-        return V.from_literal(expr.text)
+        try:
+            return V.from_literal(expr.text)
+        except (ValueError, KeyError, IndexError):
+            raise ElaborationError(
+                f"malformed literal '{expr.text}'") from None
     if isinstance(expr, ast.Identifier):
         if expr.name in params:
             return params[expr.name]
@@ -131,33 +155,85 @@ def const_eval(expr: ast.Expr, params: dict[str, V.Value]) -> V.Value:
             return V.logic_not(operand)
         return V.reduce_op(expr.op, operand)
     if isinstance(expr, ast.Binary):
-        if expr.op in _CONST_BINOPS:
-            return _CONST_BINOPS[expr.op](const_eval(expr.left, params),
-                                          const_eval(expr.right, params))
-        if expr.op in ("<<", "<<<"):
-            return V.shift_left(const_eval(expr.left, params),
-                                const_eval(expr.right, params))
-        if expr.op in (">>", ">>>"):
-            return V.shift_right(const_eval(expr.left, params),
-                                 const_eval(expr.right, params))
-        return V.compare(expr.op, const_eval(expr.left, params),
-                         const_eval(expr.right, params))
+        left = const_eval(expr.left, params)
+        right = const_eval(expr.right, params)
+        binop = _CONST_BINOPS.get(expr.op)
+        if binop is not None:
+            return binop(left, right)
+        if expr.op in _CONST_COMPARES:
+            return V.compare(expr.op, left, right)
+        raise ElaborationError(
+            f"unsupported constant operator '{expr.op}'")
     if isinstance(expr, ast.Ternary):
         cond = const_eval(expr.cond, params)
         branch = expr.if_true if cond.is_true else expr.if_false
         return const_eval(branch, params)
-    if isinstance(expr, ast.FunctionCall) and expr.name == "$clog2":
+    if isinstance(expr, ast.FunctionCall) and expr.name == "$clog2" \
+            and len(expr.args) == 1:
         arg = const_eval(expr.args[0], params).to_int()
         return V.Value.of(max(arg - 1, 0).bit_length(), 32)
     raise ElaborationError(
         f"unsupported constant expression {type(expr).__name__}")
 
 
-def _const_int(expr: ast.Expr, params: dict[str, V.Value]) -> int:
+def const_int(expr: ast.Expr, params: dict[str, V.Value]) -> int:
+    """``expr``'s value as a Verilog integer: signed 32-bit, so
+    ``[-1:0]`` reads msb -1.  A value wider than 32 bits reads unsigned;
+    an x value raises :class:`ElaborationError`."""
     value = const_eval(expr, params)
     if value.has_unknown:
         raise ElaborationError("constant expression evaluates to x")
-    return value.to_int()
+    if value.width > 32:
+        return value.to_int()
+    return value.resized(32).to_int(signed=True)
+
+
+def range_bounds(rng: ast.Range | ast.PartSelect | None,
+                 params: dict[str, V.Value]) -> tuple[int, int, int]:
+    """``(msb, lsb, width)`` of a packed range (or a ``[msb:lsb]`` part
+    select); no range is one bit, ``(0, 0, 1)``.  A range wider than
+    :data:`MAX_WIDTH` bits raises :class:`ElaborationError`."""
+    if rng is None:
+        return 0, 0, 1
+    msb = const_int(rng.msb, params)
+    lsb = const_int(rng.lsb, params)
+    width = abs(msb - lsb) + 1
+    if width > MAX_WIDTH:
+        raise ElaborationError(
+            f"range [{msb}:{lsb}] is {width} bits wide; the limit is "
+            f"{MAX_WIDTH}")
+    return msb, lsb, width
+
+
+def range_width(rng: ast.Range | ast.PartSelect | None,
+                params: dict[str, V.Value]) -> int:
+    """Bit width of a packed range (see :func:`range_bounds`)."""
+    return range_bounds(rng, params)[2]
+
+
+def eval_params(module: ast.Module,
+                overrides: dict[str, V.Value] | None = None,
+                partial: bool = False) -> dict[str, V.Value]:
+    """``module``'s parameters in declaration order, each evaluated over
+    the ones before it.  An ``overrides`` entry (an instance's
+    ``#(...)`` value) replaces a ``parameter``'s default, never a
+    ``localparam``'s.  A parameter whose value is not constant raises
+    :class:`ElaborationError`; with ``partial`` it is left out instead,
+    so every use of it reads as not constant (the lint checker's
+    reading: width unknown)."""
+    params: dict[str, V.Value] = {}
+    for decl in module.param_decls():
+        for assign in decl.assignments:
+            if overrides and decl.kind == "parameter" \
+                    and assign.name in overrides:
+                params[assign.name] = overrides[assign.name]
+                continue
+            try:
+                params[assign.name] = const_eval(assign.init, params)
+            except ElaborationError:
+                if not partial:
+                    raise
+    return params
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +265,7 @@ class Elaborator:
 
     def _elaborate_module(self, module: ast.Module, prefix: str,
                           overrides: dict[str, V.Value]) -> None:
-        params = self._eval_params(module, overrides)
+        params = eval_params(module, overrides)
         self.design.params[prefix] = params
         self.design.functions[prefix] = {
             fn.name: fn for fn in module.items_of_type(ast.FunctionDecl)
@@ -220,18 +296,6 @@ class Elaborator:
         return ast.EventControlStmt(senslist=item.senslist, stmt=item.body,
                                     line=item.line)
 
-    def _eval_params(self, module: ast.Module,
-                     overrides: dict[str, V.Value]) -> dict[str, V.Value]:
-        params: dict[str, V.Value] = {}
-        decls = list(module.params) + module.items_of_type(ast.ParamDecl)
-        for decl in decls:
-            for assign in decl.assignments:
-                if decl.kind == "parameter" and assign.name in overrides:
-                    params[assign.name] = overrides[assign.name]
-                else:
-                    params[assign.name] = const_eval(assign.init, params)
-        return params
-
     # -- signals -----------------------------------------------------------
 
     def _declare_signals(self, module: ast.Module, prefix: str,
@@ -242,17 +306,13 @@ class Elaborator:
                        rng: ast.Range | None,
                        array: ast.Range | None = None) -> None:
             full = prefix + name
-            msb = lsb = 0
-            if rng is not None:
-                msb = _const_int(rng.msb, params)
-                lsb = _const_int(rng.lsb, params)
+            msb, lsb, width = range_bounds(rng, params)
             if kind == "integer":
-                msb, lsb = 31, 0
-            width = abs(msb - lsb) + 1
+                msb, lsb, width = 31, 0, 32
             array_lo = array_hi = None
             if array is not None:
-                bound_a = _const_int(array.msb, params)
-                bound_b = _const_int(array.lsb, params)
+                bound_a = const_int(array.msb, params)
+                bound_b = const_int(array.lsb, params)
                 array_lo, array_hi = min(bound_a, bound_b), \
                     max(bound_a, bound_b)
             existing = declared.get(name)
@@ -294,47 +354,16 @@ class Elaborator:
                         sig.value = const_eval(decl.init, params) \
                             .resized(sig.width)
             elif isinstance(item, (ast.Always, ast.Initial)):
-                self._declare_block_locals(item, prefix, params, declared,
-                                           add_signal)
+                # Named-block locals are hoisted to module scope.
+                for local in ast.block_decls(item.body):
+                    for decl in local.declarators:
+                        if decl.name not in declared:
+                            add_signal(decl.name, local.kind, local.signed,
+                                       local.range, decl.array)
         # Header ports without any declaration become 1-bit wires.
         for port in module.ports:
             if port.name not in declared:
                 add_signal(port.name, "wire", False, None)
-
-    def _declare_block_locals(self, item, prefix, params, declared,
-                              add_signal) -> None:
-        """Hoist declarations inside named begin/end blocks to module scope."""
-        body = item.body
-
-        def walk(stmt) -> None:
-            if isinstance(stmt, ast.Block):
-                for child in stmt.stmts:
-                    if isinstance(child, ast.Decl):
-                        for decl in child.declarators:
-                            if decl.name not in declared:
-                                add_signal(decl.name, child.kind,
-                                           child.signed, child.range,
-                                           decl.array)
-                    else:
-                        walk(child)
-            elif isinstance(stmt, (ast.IfStmt,)):
-                if stmt.then_stmt:
-                    walk(stmt.then_stmt)
-                if stmt.else_stmt:
-                    walk(stmt.else_stmt)
-            elif isinstance(stmt, ast.CaseStmt):
-                for case_item in stmt.items:
-                    if case_item.stmt:
-                        walk(case_item.stmt)
-            elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt,
-                                   ast.RepeatStmt, ast.ForeverStmt)):
-                walk(stmt.body)
-            elif isinstance(stmt, (ast.DelayStmt, ast.EventControlStmt,
-                                   ast.WaitStmt)):
-                if stmt.stmt:
-                    walk(stmt.stmt)
-
-        walk(body)
 
     # -- instances -----------------------------------------------------------
 
@@ -359,7 +388,7 @@ class Elaborator:
                             ) -> dict[str, V.Value]:
         overrides: dict[str, V.Value] = {}
         ordered_names: list[str] = []
-        for decl in list(child.params) + child.items_of_type(ast.ParamDecl):
+        for decl in child.param_decls():
             if decl.kind == "parameter":
                 ordered_names.extend(a.name for a in decl.assignments)
         for pos, conn in enumerate(item.param_overrides):
@@ -373,7 +402,8 @@ class Elaborator:
     def _connect_ports(self, instance: ast.Instance, child: ast.Module,
                        child_prefix: str, parent: ast.Module,
                        parent_prefix: str) -> None:
-        directions = self._port_directions(child)
+        directions = {name: decl.direction for decl in child.port_decls()
+                      for name in decl.names}
         port_order = [p.name for p in child.ports]
         for pos, conn in enumerate(instance.connections):
             if conn.name is not None:
@@ -403,16 +433,6 @@ class Elaborator:
                     lhs_prefix=parent_prefix, rhs_prefix=child_prefix,
                     line=conn.line))
 
-    @staticmethod
-    def _port_directions(module: ast.Module) -> dict[str, str]:
-        directions: dict[str, str] = {}
-        for port in module.ports:
-            if port.decl is not None:
-                directions[port.name] = port.decl.direction
-        for item in module.items_of_type(ast.PortDecl):
-            for name in item.names:
-                directions[name] = item.direction
-        return directions
 
 
 def elaborate(source: ast.SourceFile, top: str,

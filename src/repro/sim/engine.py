@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..verilog import ast
 from . import values as V
-from .elaborate import Design, Proc, Signal
+from .elaborate import Design, Proc, Signal, range_width
 from .format import edge_fired, parse_template, render_spec, scope_name
 
 
@@ -361,26 +361,15 @@ class Simulator:
                        ctx: _Ctx) -> V.Value:
         locals_: dict[str, V.Value] = {}
         widths: dict[str, int] = {}
-        ret_width = 1
-        if fn.range is not None:
-            params = self.design.params.get(ctx.prefix, {})
-            from .elaborate import const_eval
-            msb = const_eval(fn.range.msb, params).to_int()
-            lsb = const_eval(fn.range.lsb, params).to_int()
-            ret_width = abs(msb - lsb) + 1
+        params = self.design.params.get(ctx.prefix, {})
+        ret_width = range_width(fn.range, params)
         locals_[fn.name] = V.Value.unknown(ret_width)
         widths[fn.name] = ret_width
         arg_pos = 0
         for item in fn.items:
             if isinstance(item, ast.PortDecl) and item.direction == "input":
+                width = range_width(item.range, params)
                 for name in item.names:
-                    width = 1
-                    if item.range is not None:
-                        params = self.design.params.get(ctx.prefix, {})
-                        from .elaborate import const_eval
-                        msb = const_eval(item.range.msb, params).to_int()
-                        lsb = const_eval(item.range.lsb, params).to_int()
-                        width = abs(msb - lsb) + 1
                     if arg_pos < len(args):
                         value = self.eval(args[arg_pos], ctx).resized(width)
                     else:
@@ -389,14 +378,9 @@ class Simulator:
                     widths[name] = width
                     arg_pos += 1
             elif isinstance(item, ast.Decl):
+                width = 32 if item.kind == "integer" and item.range is None \
+                    else range_width(item.range, params)
                 for decl in item.declarators:
-                    width = 32 if item.kind == "integer" else 1
-                    if item.range is not None:
-                        params = self.design.params.get(ctx.prefix, {})
-                        from .elaborate import const_eval
-                        msb = const_eval(item.range.msb, params).to_int()
-                        lsb = const_eval(item.range.lsb, params).to_int()
-                        width = abs(msb - lsb) + 1
                     locals_[decl.name] = V.Value.unknown(width)
                     widths[decl.name] = width
         fn_ctx = _Ctx(ctx.prefix, ctx.module, locals=locals_,

@@ -399,6 +399,8 @@ def shift_left(a: Value, amount: Value) -> Value:
     if amount.xz:
         return Value.unknown(a.width)
     sh = amount.val
+    if sh >= a.width:       # every bit shifts out; skip the huge int
+        return Value.of(0, a.width)
     return Value(width=a.width, val=(a.val << sh) & _mask(a.width),
                  xz=(a.xz << sh) & _mask(a.width))
 

@@ -12,6 +12,7 @@ translate to natural language.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -391,6 +392,40 @@ class Module(Node):
 
     def items_of_type(self, node_type: type) -> list:
         return [item for item in self.items if isinstance(item, node_type)]
+
+    def port_decls(self) -> list[PortDecl]:
+        """Every port declaration: the ANSI header's, then the body's, in
+        source order."""
+        decls = [port.decl for port in self.ports if port.decl is not None]
+        decls.extend(self.items_of_type(PortDecl))
+        return decls
+
+    def param_decls(self) -> list[ParamDecl]:
+        """Every parameter/localparam declaration: the ``#(...)``
+        header's, then the body's, in source order."""
+        return list(self.params) + self.items_of_type(ParamDecl)
+
+
+def block_decls(stmt: Stmt | None) -> Iterator[Decl]:
+    """The declarations nested in ``stmt``'s ``begin``/``end`` blocks
+    (at any depth under if/case/loops/timing controls), in source
+    order."""
+    if isinstance(stmt, Block):
+        for child in stmt.stmts:
+            if isinstance(child, Decl):
+                yield child
+            else:
+                yield from block_decls(child)
+    elif isinstance(stmt, IfStmt):
+        yield from block_decls(stmt.then_stmt)
+        yield from block_decls(stmt.else_stmt)
+    elif isinstance(stmt, CaseStmt):
+        for item in stmt.items:
+            yield from block_decls(item.stmt)
+    elif isinstance(stmt, (ForStmt, WhileStmt, RepeatStmt, ForeverStmt)):
+        yield from block_decls(stmt.body)
+    elif isinstance(stmt, (DelayStmt, EventControlStmt, WaitStmt)):
+        yield from block_decls(stmt.stmt)
 
 
 @dataclass

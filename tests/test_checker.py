@@ -177,6 +177,27 @@ endmodule
 """)
         assert not result.warnings
 
+    def test_ranges_read_like_elaboration(self):
+        # [-1:0] is two bits (signed bounds); $clog2 and ternaries
+        # evaluate; ranges elaboration cannot size read as width unknown
+        # (no warning, no crash).
+        cases = {"-1:0": "truncates 4 bits to 2 bits",
+                 "$clog2(5)-1:0": "truncates 4 bits to 3 bits",
+                 "(2 > 1 ? 1 : 3):0": "truncates 4 bits to 2 bits",
+                 "(1 << 36'hFFFFFFFFF):0": "truncates 4 bits to 1 bits",
+                 "(1 ~^ 0):0": "truncates 4 bits to 3 bits",
+                 "70000:0": None, "8'dff:0": None,
+                 "W:0": None}
+        for rng, warning in cases.items():
+            result = check_source(f"""
+module m (output [{rng}] y);
+  assign y = 4'b1010;
+endmodule
+""")
+            messages = [d.message for d in result.diagnostics]
+            assert messages == ([f"assignment {warning}"] if warning
+                                else []), rng
+
     def test_block_locals_are_declared(self):
         result = check_source("""
 module m;

@@ -268,3 +268,63 @@ module sh (input [3:0] a, input [3:0] amt, output [3:0] y);
 endmodule
 """, vectors=16, seed=5)
         assert outcome.equivalent, outcome.error
+
+
+class TestDeclarationReading:
+    """Synthesis, equivalence and the flow read parameters and ranges
+    the way elaboration does."""
+
+    def test_parameterised_ports_are_equivalence_checked(self):
+        from repro.eda import check_equivalence
+        outcome = check_equivalence("""
+module addp #(parameter W = 4) (input [W-1:0] a, input [W-1:0] b,
+                                output [W:0] s);
+  assign s = a + b;
+endmodule
+""")
+        assert outcome.equivalent, outcome.error
+        assert outcome.vectors == 24
+
+    def test_negative_range_bound_is_two_bits(self):
+        result = synthesize("""
+module m (input [3:0] a, output [-1:0] y);
+  assign y = a;
+endmodule
+""")
+        assert result.netlist.outputs == ["y[0]", "y[1]"]
+
+    def test_oversized_range_raises_synthesis_error(self):
+        with pytest.raises(SynthesisError,
+                           match="the limit is 65536"):
+            synthesize("module m (input [70000:0] a, output y); "
+                       "assign y = a[0]; endmodule")
+
+    def test_nonconstant_parameter_raises_synthesis_error(self):
+        with pytest.raises(SynthesisError,
+                           match="identifier 'Q' is not a constant"):
+            synthesize(UNCONSTANT_PARAM)
+
+    def test_flow_records_a_failed_syn_stage(self):
+        result = Flow().run(UNCONSTANT_PARAM, None, FlowConstraints())
+        assert not result.ok
+        assert [stage.name for stage in result.stages] == ["import", "syn"]
+        assert "identifier 'Q' is not a constant" in result.stages[-1].error
+
+    @pytest.mark.parametrize("command", ["synth", "flow"])
+    def test_cli_reports_a_nonconstant_parameter(self, command, tmp_path,
+                                                 capsys):
+        from repro.cli import main
+        path = tmp_path / "p.v"
+        path.write_text(UNCONSTANT_PARAM)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "identifier 'Q' is not a constant" in (captured.out
+                                                      + captured.err)
+        assert "Traceback" not in captured.err
+
+
+UNCONSTANT_PARAM = """module p #(parameter W = Q) (input [3:0] a,
+                                  output [3:0] y);
+  assign y = a;
+endmodule
+"""

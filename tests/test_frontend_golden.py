@@ -17,8 +17,9 @@ every text:
 The text set: two designs of each corpus family, every thakur and
 RTLLM reference and testbench (a testbench elaborates on top of its
 reference), a syntax mutation and a functional corruption of each of
-those designs, and checker-only edge inputs whose ranges use
-arithmetic the checker may or may not evaluate.
+those designs, checker-only edge inputs whose ranges use arithmetic
+the checker may or may not evaluate, and designs whose ranges or
+parameters once crashed elaboration or synthesis.
 """
 
 import hashlib
@@ -70,6 +71,26 @@ endmodule
 }
 
 
+#: Designs elaboration or synthesis once crashed on: a negative bound
+#: read unsigned (a 2**32-bit signal), a range past the width limit, and
+#: a parameter that is not constant.
+DECLARATION_EDGES = {
+    "decl/negative-msb": """module m (input [3:0] a, output [-1:0] y);
+  assign y = a;
+endmodule
+""",
+    "decl/oversized-range": """module m (input [70000:0] a, output y);
+  assign y = a[0];
+endmodule
+""",
+    "decl/unconstant-param": """module m #(parameter W = Q) (input [3:0] a,
+    output [3:0] y);
+  assign y = a;
+endmodule
+""",
+}
+
+
 def _designs() -> dict[str, str]:
     per_family = len(family_names())
     designs = {f"corpus/{i}": text for i, text in
@@ -109,6 +130,7 @@ def _pins() -> dict:
             text).mutated
         full[f"{name}/corrupted"] = corrupt_functionally(text,
                                                          seed=len(full))
+    full.update(DECLARATION_EDGES)
     pins = {}
     for name, text in full.items():
         pins[name] = {"check": check_source(text).report(),

@@ -165,6 +165,12 @@ class TestCliRunsJobCode:
         assert capsys.readouterr().err == (
             f"cannot decode {path}: the artefact carries no weights "
             "bundle (trained by a pre-inference repro.train?)\n")
+        # A malformed bundle is named without an exception class too.
+        bad = tmp_path / "bad_art.json"
+        bad.write_text(json.dumps({"name": "x", "weights": {"bogus": 1}}))
+        assert main(["infer", str(bad), "--prompt", "x"]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot decode {bad}: weights bundle has no weights_sha256\n")
         # The service's job error keeps its class and dependency id.
         job = _job(2, "infer", validate_spec("infer", {
             "prompts": ["x"],

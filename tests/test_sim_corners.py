@@ -315,3 +315,40 @@ module tb;
   initial begin r = $clog2(200); $finish; end
 endmodule""")
         assert sim.value_of("r").val == 8
+
+    def test_negative_range_bound_reads_signed(self):
+        # [-1:0] is two bits, as the lint checker reads it, not 2**32.
+        result = run_simulation("""
+module tb;
+  wire [-1:0] y;
+  assign y = 2'b10;
+  initial begin #1 $display("%b", y); $finish; end
+endmodule""")
+        assert result.ok, result.error
+        assert result.display == ["10"]
+        signal = elaborate(parse("module m; wire [-1:0] y; endmodule"),
+                           "m").signal("y")
+        assert (signal.width, signal.msb, signal.lsb) == (2, -1, 0)
+
+    def test_oversized_range_is_an_elaboration_error(self):
+        result = run_simulation("""
+module tb;
+  wire [70000:0] y;
+  initial $finish;
+endmodule""")
+        assert not result.ok
+        assert "70001 bits wide; the limit is 65536" in result.error
+
+    def test_function_ranges_read_module_parameters(self):
+        sim = simulate("""
+module tb;
+  parameter W = 6;
+  reg [7:0] r;
+  function [W-1:0] twice;
+    input [W-1:0] v;
+    integer k;
+    begin k = 2; twice = v * k; end
+  endfunction
+  initial begin r = twice(6'd40); $finish; end
+endmodule""")
+        assert sim.value_of("r").val == 80 % 64

@@ -129,6 +129,12 @@ class TestShiftsAndSelects:
     def test_shift_left_drops_top(self):
         assert V.shift_left(Value.of(0b1001, 4), Value.of(1, 3)).val == 0b0010
 
+    def test_shift_left_by_a_huge_amount_is_zero(self):
+        # Shifting out every bit must not build a 2**40-bit integer.
+        result = V.shift_left(Value(8, 0xF0, xz=0x0F),
+                              Value.of(1 << 40, 64))
+        assert (result.width, result.val, result.xz) == (8, 0, 0)
+
     def test_shift_right_logical(self):
         assert V.shift_right(Value.of(0b1000, 4), Value.of(3, 3)).val == 1
 
