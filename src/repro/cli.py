@@ -27,9 +27,15 @@ Commands mirror the tool chain a user drives interactively:
   429 + ``Retry-After`` backpressure — see ``repro.serve.gateway``)
 * ``submit`` / ``status`` / ``result`` / ``cancel`` — client commands
   talking to a running daemon (``--url``, ``--tenant``)
+* ``infer``     — decode completions from a trained-model artefact
+  (the infer job's code, run locally)
 * ``pipeline``  — submit augment → train → evaluate to the daemon as
   one dependency DAG; the evaluate stage scores the freshly trained
   model
+* ``dag``       — validate, run in process (``--direct``) or submit a
+  user-defined job DAG spec file
+* ``scenarios`` — list or run the registered scenarios (paper sweeps,
+  chaos drills, perf floors)
 """
 
 from __future__ import annotations
@@ -111,20 +117,16 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    """Stream files through :mod:`repro.scale` — sources are read
-    per-shard inside the workers, never held in memory as one corpus —
-    and merge in canonical (content-digest) order, so serial and
-    parallel runs write byte-identical JSONL."""
+    """Run the augment job's corpus pass on local paths.  Sources are
+    read per shard inside the workers, never held in memory as one
+    corpus, and merged in canonical (content-digest) order, so serial
+    and parallel runs write byte-identical JSONL."""
     from .core import dataset_stats, render_table2
-    from .scale import augment_distributed
-    from .scale.store import DEFAULT_NUM_SHARDS
-    from .serve.executor import _config_from_spec
-    report = augment_distributed(
-        list(args.paths), config=_config_from_spec(vars(args)),
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        num_shards=(args.shards if args.shards is not None
-                    else DEFAULT_NUM_SHARDS))
+    from .serve.executor import run_augment
+    spec = _checked_spec("augment", _corpus_spec(args))
+    if spec is None:
+        return 2
+    report = run_augment(spec, args.cache_dir, args.jobs)
     print(render_table2(dataset_stats(report.dataset)))
     print(f"-- {report.summary()}")
     if args.out:
@@ -150,38 +152,14 @@ def cmd_agent(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-#: Train knobs shared by `train`, `submit train` and `pipeline`
-#: (None = not given; the spec normaliser / TrainConfig defaults fill
-#: the gaps).
-_TRAIN_KNOBS = ("epochs", "batch_size", "micro_batch", "seq_len", "lr",
-                "train_seed", "vocab_size", "d_model", "n_heads",
-                "n_layers", "d_ff", "max_records", "checkpoint_every")
-
-
-def _train_knobs(args: argparse.Namespace) -> dict:
-    """The train knobs the user actually set (``--max-records 0`` means
-    unlimited)."""
-    knobs = {name: getattr(args, name) for name in _TRAIN_KNOBS
-             if getattr(args, name) is not None}
-    if knobs.get("max_records") == 0:
-        knobs["max_records"] = None
-    return knobs
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     """Run the train job's code on local paths: ``--cache-dir`` and
     ``--checkpoint-dir`` stand in for the job's work-dir layout,
     ``--out`` writes the job blob's ``artifact`` and ``--report-out``
     the rest of the blob."""
-    from .serve import SpecError, validate_spec
     from .serve.executor import run_training
-    try:
-        spec = validate_spec("train", dict(
-            _train_knobs(args), paths=list(args.paths), seed=args.seed,
-            completion_only=args.completion_only, shards=args.shards,
-            register_as=args.register_as))
-    except SpecError as exc:
-        print(f"invalid train options: {exc}", file=sys.stderr)
+    spec = _checked_spec("train", _train_spec(args))
+    if spec is None:
         return 2
     blob, corpus_report, report = run_training(
         spec, args.cache_dir, args.checkpoint_dir, args.jobs)
@@ -196,6 +174,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pipeline_flow(args: argparse.Namespace) -> dict:
+    """The :func:`repro.flow.pipeline_flow` DAG the flags describe: the
+    corpus and train flags feed the augment and train nodes, the eval
+    flags the evaluate node (``--seed`` is the corpus seed; the
+    evaluate node's seed is pipeline_flow's)."""
+    from .flow import pipeline_flow
+    from .serve.jobs import DEFAULT_REGISTER_AS
+    knobs = _train_spec(args)
+    corpus = {key: knobs.pop(key)
+              for key in ("paths", "seed", "completion_only")
+              if key in knobs}
+    register_as = knobs.pop("register_as", DEFAULT_REGISTER_AS)
+    evaluate = _eval_spec(args)
+    evaluate.pop("seed", None)
+    return pipeline_flow(**corpus, train_knobs=knobs,
+                         register_as=register_as, **evaluate,
+                         priority=args.priority)
+
+
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """Submit augment → train → evaluate as one DAG and (optionally)
     wait for the evaluation of the freshly trained model.
@@ -204,50 +201,34 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     submitted whole through ``/api/flow`` — one journal group commit
     instead of three submits.
     """
-    from .flow import pipeline_flow
+    from .flow import FlowError, submit_flow, wait_flow
     from .serve import ServeError
     client = _client(args)
-    flow = pipeline_flow(
-        paths=[os.path.abspath(p) for p in args.paths],
-        seed=args.seed, completion_only=args.completion_only,
-        train_knobs=_train_knobs(args),
-        register_as=args.register_as, suite=args.suite,
-        models=args.models.split(",") if args.models else None,
-        samples=args.samples, k=args.k,
-        levels=args.levels.split(",") if args.levels else None,
-        priority=args.priority)
     try:
-        submitted = client.submit_flow(flow)
+        run = submit_flow(client, _pipeline_flow(args))
     except ServeError as exc:
         print(f"pipeline submit failed: {exc}", file=sys.stderr)
         return 1
-    nodes = submitted["nodes"]
-    stages = [(stage, nodes[stage])
-              for stage in ("augment", "train", "evaluate")]
-    train = nodes["train"]
-    evaluate = nodes["evaluate"]
-    for stage, job in stages:
-        print(f"-- submitted {job['id']} ({stage})")
+    for stage in ("augment", "train", "evaluate"):
+        print(f"-- submitted {run.id_for(stage)} ({stage})")
     if args.no_wait:
         return 0
     try:
-        jobs = client.wait([job["id"] for _, job in stages],
-                           timeout=args.timeout)
+        wait_flow(client, run, timeout=args.timeout)
     except TimeoutError as exc:
         print(f"pipeline timed out: {exc}", file=sys.stderr)
         return 1
-    failed = [job for job in jobs.values() if job["state"] != "done"]
-    for job in failed:
-        print(f"-- {job['id']} {job['state']}: "
-              f"{job.get('error') or ''}", file=sys.stderr)
-    if failed:
+    except FlowError as exc:
+        for job in sorted(exc.failures.values(), key=lambda j: j["id"]):
+            print(f"-- {job['id']} {job['state']}: "
+                  f"{job.get('error') or ''}", file=sys.stderr)
         return 1
-    train_blob = client.result(train["id"])
+    train_blob = client.result(run.id_for("train"))
     print(f"-- trained '{train_blob['register_as']}': "
           f"{train_blob['steps']} step(s), final loss "
           f"{train_blob['final_loss']:.4f}, weights "
           f"{train_blob['weights_sha256'][:12]}")
-    eval_blob = client.result(evaluate["id"])
+    eval_blob = client.result(run.id_for("evaluate"))
     print(eval_blob["rendered"])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -352,12 +333,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     artifacts = None
     if args.artifact:
         artifacts = [json.loads(_read(path)) for path in args.artifact]
-    result = run_suite(
-        args.suite,
-        models=args.models.split(",") if args.models else None,
-        samples=args.samples, k=args.k,
-        levels=tuple(args.levels.split(",")) if args.levels else None,
-        seed=args.seed, engine=engine, artifacts=artifacts)
+    spec = _eval_spec(args)
+    result = run_suite(spec.pop("suite"), **spec, engine=engine,
+                       artifacts=artifacts)
     print(result.rendered)
     print(f"-- {engine.stats.summary()}")
     # The engine aggregates each worker's thread-local counters back
@@ -381,13 +359,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
     import tempfile
 
     from .infer import shared_host
-    from .serve import SpecError
     from .serve.executor import artifact_weights, execute_job
     artifact = json.loads(_read(args.artifact))
-    spec = {"prompts": list(args.prompt),
-            "trained": {"name": artifact.get("name"), "job": "local"},
-            "max_tokens": args.max_tokens,
-            "temperature": args.temperature, "seed": args.seed}
+    spec = dict(_decode_spec(args),
+                trained={"name": artifact.get("name"), "job": "local"})
     try:
         # Loading the bundle here reports a malformed one without the
         # job's exception class; the job then hits the host's cache.
@@ -395,7 +370,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-infer-") as work:
             blob = execute_job("infer", spec, work,
                                resolve={"local": {"artifact": artifact}}.get)
-    except (SpecError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:   # SpecError included
         print(f"cannot decode {args.artifact}: {exc}", file=sys.stderr)
         return 2
     for entry in blob["completions"]:
@@ -492,47 +467,11 @@ def _client(args: argparse.Namespace):
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from .serve import ServeError
-    after = None
-    if args.job_kind == "augment":
-        spec = {"paths": [os.path.abspath(p) for p in args.paths],
-                "seed": args.seed,
-                "completion_only": args.completion_only}
-    elif args.job_kind == "train":
-        spec = {"paths": [os.path.abspath(p) for p in args.paths],
-                "seed": args.seed,
-                "completion_only": args.completion_only,
-                "register_as": args.register_as}
-        spec.update(_train_knobs(args))
-    elif args.job_kind == "evaluate":
-        spec = {"suite": args.suite,
-                "models": args.models.split(",") if args.models
-                else None,
-                "samples": args.samples, "k": args.k,
-                "levels": args.levels.split(",") if args.levels
-                else None,
-                "seed": args.seed}
-    elif args.job_kind == "infer":
-        spec = {"prompts": list(args.prompt),
-                "trained": {"name": args.trained_name,
-                            "job": args.train_job},
-                "max_tokens": args.max_tokens,
-                "temperature": args.temperature, "seed": args.seed}
-        # Gate on the train job so the weights exist when we decode
-        # (a done dependency resolves immediately).
-        after = [args.train_job]
-    elif args.job_kind == "simulate":
-        spec = {"source": _read(args.file), "top": args.top,
-                "vcd": args.vcd}
-    elif args.job_kind == "probe":
-        try:
-            payload = json.loads(args.payload) if args.payload else ""
-        except ValueError:
-            payload = args.payload      # plain string payload
-        spec = {"payload": payload, "sleep_ms": args.sleep_ms}
-    else:   # experiment
-        spec = {"name": args.name, "quick": not args.full}
+    # An infer job waits for its train job, so the weights exist when
+    # it decodes (a done dependency resolves at once).
+    after = [args.train_job] if args.job_kind == "infer" else None
     try:
-        job = _client(args).submit(args.job_kind, spec,
+        job = _client(args).submit(args.job_kind, args.build_spec(args),
                                    priority=args.priority, after=after)
     except ServeError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
@@ -602,6 +541,203 @@ def cmd_cancel(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- one flag set and one spec builder per job kind ------------------------
+#
+# Shared by the direct commands, `repro submit <kind>` and `repro
+# pipeline`.  A shared flag defaults to None ("not given") and the
+# builders leave it out, so repro.serve.validate_spec fills in the one
+# default and rejects bad values, for a direct command as for a daemon.
+
+# Mirrors repro.eval.EVAL_SUITES (kept literal so parser construction
+# stays import-light; test_eval_engine pins the two together).
+EVAL_SUITES = ("generation", "rtllm", "rtllm-full", "thakur", "repair",
+               "scripts")
+
+# Mirrors repro.serve.jobs.TRAIN_KNOBS, one `--<knob>` flag each (kept
+# literal so parser construction stays import-light; test_cli_specs
+# pins the two together).
+TRAIN_KNOBS = ("epochs", "batch_size", "micro_batch", "seq_len",
+               "vocab_size", "d_model", "n_heads", "n_layers", "d_ff",
+               "checkpoint_every", "train_seed", "lr", "max_records")
+
+_TRAIN_HELP = {
+    "train_seed": "training seed (schedule + init); distinct from the "
+                  "augmentation --seed",
+    "checkpoint_every": "checkpoint cadence in optimizer steps (0 = "
+                        "final checkpoint only)",
+    "max_records": "canonical-order dataset cap (0 = no cap)",
+}
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
+def _corpus_flags(p: argparse.ArgumentParser, shards: bool = True) -> None:
+    p.add_argument("paths", nargs="+",
+                   help="Verilog files and/or directories")
+    p.add_argument("--seed", type=int,
+                   help="augmentation seed for the corpus (default 0)")
+    p.add_argument("--completion-only", action="store_true", default=None,
+                   help="ablation baseline (general aug) dataset")
+    if shards:
+        p.add_argument("--shards", type=int,
+                       help="shard count for the corpus store (0 = the "
+                            "default)")
+
+
+def _corpus_spec(args: argparse.Namespace) -> dict:
+    return dict(_given(args, "seed", "completion_only", "shards"),
+                paths=[os.path.abspath(p) for p in args.paths])
+
+
+def _shard_cache_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for augmentation shards "
+                        "(default 1 = serial; same output for any "
+                        "setting)")
+    p.add_argument("--cache-dir",
+                   help="augment shard cache; a warm re-run recomputes "
+                        "only dirty shards")
+
+
+def _train_flags(p: argparse.ArgumentParser, shards: bool = True) -> None:
+    _corpus_flags(p, shards)
+    for knob in TRAIN_KNOBS:
+        p.add_argument("--" + knob.replace("_", "-"),
+                       type=float if knob == "lr" else int,
+                       help=_TRAIN_HELP.get(knob))
+    p.add_argument("--register-as",
+                   help="name the trained model evaluates under "
+                        "(default: trained)")
+
+
+def _train_spec(args: argparse.Namespace) -> dict:
+    spec = dict(_corpus_spec(args),
+                **_given(args, *TRAIN_KNOBS, "register_as"))
+    if spec.get("max_records") == 0:
+        spec["max_records"] = None
+    return spec
+
+
+def _eval_flags(p: argparse.ArgumentParser, suite: str | None = "generation",
+                seed: bool = True) -> None:
+    # A spec must name its suite, so --suite keeps a default (None =
+    # pipeline_flow's).
+    p.add_argument("--suite", choices=EVAL_SUITES, default=suite,
+                   help=f"benchmark suite (default: {suite or 'thakur'})")
+    p.add_argument("--models",
+                   help="comma-separated model names (default: the "
+                        "suite's paper column order; for a pipeline, "
+                        "the trained model alone)")
+    p.add_argument("--samples", type=int,
+                   help="samples per cell (default 5; max attempts for "
+                        "scripts, default 10)")
+    p.add_argument("--k", type=int,
+                   help="k for the report's pass@k rows (default 5)")
+    p.add_argument("--levels",
+                   help="comma-separated prompt levels "
+                        "(generation suites; default low,middle,high)")
+    if seed:
+        p.add_argument("--seed", type=int,
+                       help="benchmark-construction seed (repair suite)")
+
+
+def _eval_spec(args: argparse.Namespace) -> dict:
+    spec = _given(args, "suite", "samples", "k", "seed")
+    for name in ("models", "levels"):
+        if getattr(args, name):
+            spec[name] = getattr(args, name).split(",")
+    return spec
+
+
+def _decode_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--prompt", action="append", required=True,
+                   help="prompt text (repeatable; one completion each)")
+    p.add_argument("--max-tokens", type=int,
+                   help="new tokens to decode per prompt (default 32)")
+    p.add_argument("--temperature", type=float,
+                   help="0 = greedy (default); >0 samples")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+
+
+def _decode_spec(args: argparse.Namespace) -> dict:
+    return dict(_given(args, "max_tokens", "temperature", "seed"),
+                prompts=list(args.prompt))
+
+
+def _infer_job_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("train_job", help="train job id whose artefact "
+                                     "supplies the weights bundle")
+    p.add_argument("--trained-name", help="the train job's register_as "
+                                          "name (default: trained)")
+    _decode_flags(p)
+
+
+def _infer_job_spec(args: argparse.Namespace) -> dict:
+    from .serve.jobs import DEFAULT_REGISTER_AS
+    return dict(_decode_spec(args), trained={
+        "name": args.trained_name or DEFAULT_REGISTER_AS,
+        "job": args.train_job})
+
+
+def _simulate_job_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="Verilog file (inlined into the spec)")
+    p.add_argument("--top")
+    p.add_argument("--vcd", action="store_true",
+                   help="include VCD text in the result blob")
+
+
+def _experiment_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name", help="experiment id, e.g. table5")
+    p.add_argument("--full", action="store_true")
+
+
+def _probe_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--payload", default="",
+                   help="JSON value to echo (default empty string)")
+    p.add_argument("--sleep-ms", type=int, default=0,
+                   help="simulated execution time (drain scenarios)")
+
+
+def _probe_spec(args: argparse.Namespace) -> dict:
+    try:
+        payload = json.loads(args.payload) if args.payload else ""
+    except ValueError:
+        payload = args.payload      # plain string payload
+    return {"payload": payload, "sleep_ms": args.sleep_ms}
+
+
+#: `repro submit <kind>`: kind -> (help, flag adder, spec builder).
+_SUBMIT_KINDS = {
+    "augment": ("augmentation job", _corpus_flags, _corpus_spec),
+    "train": ("finetuning job", _train_flags, _train_spec),
+    "evaluate": ("benchmark-suite job", _eval_flags, _eval_spec),
+    "infer": ("decode completions from a trained job's weights",
+              _infer_job_flags, _infer_job_spec),
+    "simulate": ("simulation job", _simulate_job_flags,
+                 lambda args: {"source": _read(args.file),
+                               "top": args.top, "vcd": args.vcd}),
+    "experiment": ("paper table/figure by registry id", _experiment_flags,
+                   lambda args: {"name": args.name,
+                                 "quick": not args.full}),
+    "probe": ("near-zero-cost serving probe (echoes a payload; "
+              "stress/health checks)", _probe_flags, _probe_spec),
+}
+
+
+def _checked_spec(kind: str, spec: dict) -> dict | None:
+    """The canonical spec, or None after printing why a daemon would
+    reject it (the caller exits 2)."""
+    from .serve import SpecError, validate_spec
+    try:
+        return validate_spec(kind, spec)
+    except SpecError as exc:
+        print(f"invalid {kind} options: {exc}", file=sys.stderr)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -636,62 +772,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("augment", help="run the augmentation pipeline")
-    p.add_argument("paths", nargs="+",
-                   help="Verilog files and/or directories to walk")
+    _corpus_flags(p)
+    _shard_cache_flags(p)
     p.add_argument("--out", help="write records as JSONL")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--completion-only", action="store_true",
-                   help="ablation baseline (general aug)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1 = serial)")
-    p.add_argument("--cache-dir",
-                   help="shard result cache; re-runs only recompute "
-                        "dirty shards")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count for the corpus store")
     p.set_defaults(fn=cmd_augment)
-
-    def add_train_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--micro-batch", type=int, default=None,
-                       help="gradient-accumulation micro-batch size")
-        p.add_argument("--seq-len", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--train-seed", type=int, default=None,
-                       help="training seed (schedule + init); distinct "
-                            "from the augmentation --seed")
-        p.add_argument("--vocab-size", type=int, default=None)
-        p.add_argument("--d-model", type=int, default=None)
-        p.add_argument("--n-heads", type=int, default=None)
-        p.add_argument("--n-layers", type=int, default=None)
-        p.add_argument("--d-ff", type=int, default=None)
-        p.add_argument("--max-records", type=int, default=None,
-                       help="canonical-order dataset cap (0 = no cap)")
-        p.add_argument("--checkpoint-every", type=int, default=None,
-                       help="checkpoint cadence in optimizer steps "
-                            "(0 = final checkpoint only)")
-        p.add_argument("--register-as", default="trained",
-                       help="name the trained model evaluates under")
 
     p = sub.add_parser("train",
                        help="checkpointed finetuning over a corpus "
                             "(resumable via --checkpoint-dir)")
-    p.add_argument("paths", nargs="+",
-                   help="Verilog files and/or directories to train on")
-    p.add_argument("--seed", type=int, default=0,
-                   help="augmentation seed for the corpus")
-    p.add_argument("--completion-only", action="store_true",
-                   help="train on the ablation (general aug) dataset")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for augmentation shards "
-                        "(default 1 = serial; training runs "
-                        "in-process, and output is identical for any "
-                        "setting)")
-    p.add_argument("--cache-dir",
-                   help="augment shard cache; a warm cache means the "
-                        "corpus loads with zero re-augmentation")
-    p.add_argument("--shards", type=int, default=None)
+    _train_flags(p)
+    _shard_cache_flags(p)
     p.add_argument("--checkpoint-dir",
                    help="checkpoint store; an interrupted run resumes "
                         "here to bit-identical weights")
@@ -700,7 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out",
                    help="write the run report (loss curve, weights "
                         "digest) as JSON")
-    add_train_options(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("agent", help="Fig-1 agent loop on a benchmark")
@@ -724,29 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_options(p)
     p.set_defaults(fn=cmd_tables)
 
-    # Mirrors repro.eval.EVAL_SUITES (kept literal so parser construction
-    # stays import-light; test_eval_engine pins the two together).
-    EVAL_SUITES = ("generation", "rtllm", "rtllm-full", "thakur",
-                   "repair", "scripts")
     p = sub.add_parser("evaluate",
                        help="run one benchmark suite on the shared "
                             "evaluation engine")
-    p.add_argument("--suite", choices=EVAL_SUITES, default="generation",
-                   help="benchmark suite id (default: generation = "
-                        "the full Table-5 problem set)")
-    p.add_argument("--models",
-                   help="comma-separated model names (default: the "
-                        "suite's paper column order)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="samples per cell (default 5; max attempts for "
-                        "scripts, default 10)")
-    p.add_argument("--k", type=int, default=5,
-                   help="k for the report's pass@k rows")
-    p.add_argument("--levels",
-                   help="comma-separated prompt levels "
-                        "(generation suites; default low,middle,high)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="benchmark-construction seed (repair suite)")
+    _eval_flags(p)
     p.add_argument("--out", help="also write the report to this file")
     p.add_argument("--artifact", action="append",
                    help="trained-model artefact JSON (from `repro "
@@ -763,15 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifact",
                    help="trained-model artefact JSON (from `repro "
                         "train --out`) carrying a weights bundle")
-    p.add_argument("--prompt", action="append", required=True,
-                   help="prompt text (repeatable; one completion each)")
-    p.add_argument("--max-tokens", type=int, default=32,
-                   help="new tokens to decode per prompt (default 32)")
-    p.add_argument("--temperature", type=float, default=0.0,
-                   help="0 = greedy (default); >0 samples")
-    p.add_argument("--seed", type=int, default=0,
-                   help="sampling seed (per-row streams are derived "
-                        "from it content-stably)")
+    _decode_flags(p)
     p.add_argument("--out",
                    help="also write the result blob (JSON) to this "
                         "file")
@@ -832,61 +894,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="higher runs first (FIFO within a priority)")
     add_client_options(p)
     kinds = p.add_subparsers(dest="job_kind", required=True)
-
-    k = kinds.add_parser("augment", help="augmentation job")
-    k.add_argument("paths", nargs="+",
-                   help="Verilog files/directories (daemon-local paths)")
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--completion-only", action="store_true")
-
-    k = kinds.add_parser("train", help="finetuning job")
-    k.add_argument("paths", nargs="+",
-                   help="Verilog files/directories (daemon-local paths)")
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--completion-only", action="store_true")
-    add_train_options(k)
-
-    k = kinds.add_parser("evaluate", help="benchmark-suite job")
-    k.add_argument("--suite", choices=EVAL_SUITES, default="generation")
-    k.add_argument("--models")
-    k.add_argument("--samples", type=int, default=None)
-    k.add_argument("--k", type=int, default=5)
-    k.add_argument("--levels")
-    k.add_argument("--seed", type=int, default=0)
-
-    k = kinds.add_parser("infer",
-                         help="decode completions from a trained "
-                              "job's weights")
-    k.add_argument("train_job",
-                   help="train job id whose artefact supplies the "
-                        "weights bundle")
-    k.add_argument("--trained-name", default="trained",
-                   help="the train job's register_as name "
-                        "(default: trained)")
-    k.add_argument("--prompt", action="append", required=True,
-                   help="prompt text (repeatable; one completion each)")
-    k.add_argument("--max-tokens", type=int, default=32)
-    k.add_argument("--temperature", type=float, default=0.0)
-    k.add_argument("--seed", type=int, default=0)
-
-    k = kinds.add_parser("simulate", help="simulation job")
-    k.add_argument("file", help="Verilog file (inlined into the spec)")
-    k.add_argument("--top")
-    k.add_argument("--vcd", action="store_true",
-                   help="include VCD text in the result blob")
-
-    k = kinds.add_parser("experiment",
-                         help="paper table/figure by registry id")
-    k.add_argument("name", help="experiment id, e.g. table5")
-    k.add_argument("--full", action="store_true")
-
-    k = kinds.add_parser("probe",
-                         help="near-zero-cost serving probe (echoes "
-                              "a payload; stress/health checks)")
-    k.add_argument("--payload", default="",
-                   help="JSON value to echo (default empty string)")
-    k.add_argument("--sleep-ms", type=int, default=0,
-                   help="simulated execution time (drain scenarios)")
+    for kind, (text, add_flags, build_spec) in _SUBMIT_KINDS.items():
+        k = kinds.add_parser(kind, help=text)
+        add_flags(k)
+        k.set_defaults(build_spec=build_spec)
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser("status", help="job/daemon status")
@@ -912,21 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="submit augment → train → evaluate as one "
                             "dependency DAG; the evaluate stage scores "
                             "the freshly trained model")
-    p.add_argument("paths", nargs="+",
-                   help="Verilog files/directories (daemon-local paths)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="augmentation seed for the corpus stages")
-    p.add_argument("--completion-only", action="store_true")
-    add_train_options(p)
-    p.add_argument("--suite", choices=EVAL_SUITES, default="thakur",
-                   help="benchmark suite for the evaluate stage")
-    p.add_argument("--models",
-                   help="comma-separated models to score (default: "
-                        "just the trained model; add baselines for a "
-                        "side-by-side)")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--levels")
+    _train_flags(p, shards=False)
+    _eval_flags(p, None, seed=False)
     p.add_argument("--priority", type=int, default=0)
     p.add_argument("--no-wait", action="store_true",
                    help="submit the DAG and return without polling")

@@ -552,7 +552,9 @@ class Synthesizer:
     def _merge_env(self, cond: str, then_env: dict[str, list[str]],
                    else_env: dict[str, list[str]]) -> dict[str, list[str]]:
         merged: dict[str, list[str]] = {}
-        for name in set(then_env) | set(else_env):
+        # First-seen order, not set order: the gates a merge adds must
+        # not depend on the process's string-hash seed.
+        for name in dict.fromkeys([*then_env, *else_env]):
             then_bits = then_env.get(name, list(self.signals[name]))
             else_bits = else_env.get(name, list(self.signals[name]))
             if then_bits == else_bits:
@@ -660,7 +662,10 @@ def synthesize(source_text: str, top: str | None = None,
         raise SynthesisError("no modules in source")
     module = source.modules[0]
     if top is not None:
-        module = source.module(top)
+        try:
+            module = source.module(top)
+        except KeyError as exc:
+            raise SynthesisError(exc.args[0]) from None
     netlist = Synthesizer(module, pdk).run()
     return SynthResult(netlist=netlist,
                        area_um2=netlist.area_um2(pdk),

@@ -9,7 +9,7 @@ either way.
 
 from .pipeline import pipeline_flow
 from .run import (FlowError, FlowRun, run_flow, run_flow_direct,
-                  submit_flow)
+                  submit_flow, wait_flow)
 from .spec import (FLOW_REF_PREFIX, MAX_FLOW_NODES, FlowNode,
                    expand_nodes, flow_name, resolve_refs, validate_flow)
 
@@ -17,5 +17,5 @@ __all__ = [
     "FLOW_REF_PREFIX", "MAX_FLOW_NODES", "FlowError", "FlowNode",
     "FlowRun", "expand_nodes", "flow_name", "pipeline_flow",
     "resolve_refs", "run_flow", "run_flow_direct", "submit_flow",
-    "validate_flow",
+    "validate_flow", "wait_flow",
 ]

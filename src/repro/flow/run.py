@@ -71,15 +71,14 @@ def submit_flow(client, blob: dict) -> FlowRun:
                    jobs=payload["nodes"])
 
 
-def run_flow(client, blob: dict, *, timeout: float = 600.0,
-             poll: float = 0.05) -> dict[str, dict]:
-    """Submit a flow and wait for every node; return name -> result blob.
+def wait_flow(client, run: FlowRun, *, timeout: float = 600.0,
+              poll: float = 0.05) -> None:
+    """Wait until every node of a submitted flow is terminal.
 
     Raises :class:`FlowError` if any node ends failed (or is dropped
     because a dependency failed), carrying the terminal job dicts so
     callers can render errors per node.
     """
-    run = submit_flow(client, blob)
     final = client.wait(run.ids, timeout=timeout, poll=poll)
     failures = {name: final[job["id"]]
                 for name, job in run.jobs.items()
@@ -89,9 +88,17 @@ def run_flow(client, blob: dict, *, timeout: float = 600.0,
             f"{name}: {job['state']} ({job.get('error') or 'no error'})"
             for name, job in sorted(failures.items()))
         raise FlowError(f"flow '{run.name}' failed: {detail}", failures)
+
+
+def run_flow(client, blob: dict, *, timeout: float = 600.0,
+             poll: float = 0.05) -> dict[str, dict]:
+    """Submit a flow and wait for every node (:func:`wait_flow`);
+    return name -> result blob."""
+    run = submit_flow(client, blob)
+    wait_flow(client, run, timeout=timeout, poll=poll)
     return {name: client.result(job["id"])
             for name, job in run.jobs.items()}
 
 
 __all__ = ["FlowError", "FlowRun", "run_flow", "run_flow_direct",
-           "submit_flow", "validate_flow", "FlowNode"]
+           "submit_flow", "validate_flow", "wait_flow", "FlowNode"]

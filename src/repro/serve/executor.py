@@ -97,14 +97,21 @@ class BatchResult:
     sim_stats: object = None
 
 
-def _augment_blob(spec: dict, workdir: str, jobs: int) -> dict:
+def run_augment(spec: dict, cache_dir: str | None, jobs: int):
+    """Augment the corpus a canonical augment spec names through the
+    shard cache at ``cache_dir`` (None = no cache); returns the
+    :class:`repro.scale.ScaleReport`."""
     from ..scale import augment_distributed
     from ..scale.store import DEFAULT_NUM_SHARDS
-    config = _config_from_spec(spec)
-    report = augment_distributed(
-        spec["paths"], config=config, jobs=jobs,
-        cache_dir=_augment_cache_dir(workdir, config),
+    return augment_distributed(
+        spec["paths"], config=_config_from_spec(spec), jobs=jobs,
+        cache_dir=cache_dir,
         num_shards=spec.get("shards") or DEFAULT_NUM_SHARDS)
+
+
+def _augment_blob(spec: dict, workdir: str, jobs: int) -> dict:
+    report = run_augment(
+        spec, _augment_cache_dir(workdir, _config_from_spec(spec)), jobs)
     text = report.dataset.to_jsonl()
     per_task = {task.value: count for task, count
                 in report.dataset.task_counts().items()}
@@ -126,12 +133,9 @@ def run_training(spec: dict, cache_dir: str | None,
     ``checkpoint_dir`` (either may be None); ``jobs`` sizes the
     augmentation shards, and training itself runs in-process.
     """
-    from ..scale.store import DEFAULT_NUM_SHARDS
-    from ..train import build_artifact, corpus_dataset, train_run
-    dataset, corpus_report = corpus_dataset(
-        spec["paths"], config=_config_from_spec(spec),
-        cache_dir=cache_dir, jobs=jobs,
-        num_shards=spec.get("shards") or DEFAULT_NUM_SHARDS)
+    from ..train import build_artifact, train_run
+    corpus_report = run_augment(spec, cache_dir, jobs)
+    dataset = corpus_report.dataset
     report = train_run(dataset, _train_config(spec),
                        checkpoint_dir=checkpoint_dir)
     blob = {"kind": "train", "register_as": spec["register_as"],

@@ -84,10 +84,13 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_int(spec: dict, key: str, default: int) -> int:
     value = spec.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"'{key}' must be an integer")
+    _require(_is_int(value), f"'{key}' must be an integer")
     return value
 
 
@@ -96,52 +99,55 @@ def _normalize_augment(spec: dict) -> dict:
     _require(isinstance(paths, list) and paths
              and all(isinstance(p, str) for p in paths),
              "'paths' must be a non-empty list of strings")
-    return {"paths": list(paths),
-            "seed": _as_int(spec, "seed", 0),
+    seed = _as_int(spec, "seed", 0)
+    shards = spec.get("shards")
+    _require(shards is None or (_is_int(shards) and shards >= 0),
+             "'shards' must be an integer >= 0 (0 = the default "
+             "count) or null")
+    return {"paths": list(paths), "seed": seed,
             "completion_only": bool(spec.get("completion_only", False)),
-            "shards": (spec["shards"] if isinstance(spec.get("shards"),
-                                                    int) else None)}
+            "shards": shards}
+
+
+#: Train-spec knob -> :class:`repro.train.TrainConfig` field, in
+#: canonical-spec order (the spec's ``seed`` is the corpus seed, hence
+#: ``train_seed``).  ``repro.cli`` makes one flag per key.
+TRAIN_KNOBS = dict(
+    epochs="epochs", batch_size="batch_size", micro_batch="micro_batch",
+    seq_len="seq_len", vocab_size="vocab_size", d_model="d_model",
+    n_heads="n_heads", n_layers="n_layers", d_ff="d_ff",
+    checkpoint_every="checkpoint_every", train_seed="seed", lr="lr",
+    max_records="max_records")
+
+#: The name a train spec registers its model under by default.
+DEFAULT_REGISTER_AS = "trained"
 
 
 def _normalize_train(spec: dict) -> dict:
     """Corpus knobs shared with augment + the training hyper-knobs."""
     from ..llm.behavioral import PROFILES
     from ..train import TrainConfig
-    base = _normalize_augment(spec)
-    name = spec.get("register_as", "trained")
+    spec_out = _normalize_augment(spec)
+    name = spec.get("register_as", DEFAULT_REGISTER_AS)
     _require(isinstance(name, str) and name.strip()
              and name not in PROFILES,
              "'register_as' must be a non-empty name that does not "
              "shadow a built-in model")
     defaults = TrainConfig()
-    knobs = {"epochs": _as_int(spec, "epochs", defaults.epochs),
-             "batch_size": _as_int(spec, "batch_size",
-                                   defaults.batch_size),
-             "micro_batch": _as_int(spec, "micro_batch",
-                                    defaults.micro_batch),
-             "seq_len": _as_int(spec, "seq_len", defaults.seq_len),
-             "vocab_size": _as_int(spec, "vocab_size",
-                                   defaults.vocab_size),
-             "d_model": _as_int(spec, "d_model", defaults.d_model),
-             "n_heads": _as_int(spec, "n_heads", defaults.n_heads),
-             "n_layers": _as_int(spec, "n_layers", defaults.n_layers),
-             "d_ff": _as_int(spec, "d_ff", defaults.d_ff),
-             "checkpoint_every": _as_int(spec, "checkpoint_every",
-                                         defaults.checkpoint_every),
-             "train_seed": _as_int(spec, "train_seed", defaults.seed)}
-    lr = spec.get("lr", defaults.lr)
-    _require(isinstance(lr, (int, float)) and not isinstance(lr, bool)
-             and lr > 0, "'lr' must be a positive number")
-    max_records = spec.get("max_records", defaults.max_records)
-    _require(max_records is None
-             or (isinstance(max_records, int)
-                 and not isinstance(max_records, bool)
-                 and max_records > 0),
-             "'max_records' must be a positive integer or null")
-    spec_out = dict(base)
-    spec_out.update(knobs)
-    spec_out.update({"lr": float(lr), "max_records": max_records,
-                     "register_as": name})
+    for key, field_name in TRAIN_KNOBS.items():
+        value = spec.get(key, getattr(defaults, field_name))
+        if key == "lr":
+            _require(isinstance(value, (int, float))
+                     and not isinstance(value, bool) and value > 0,
+                     "'lr' must be a positive number")
+            value = float(value)
+        elif key == "max_records":
+            _require(value is None or (_is_int(value) and value > 0),
+                     "'max_records' must be a positive integer or null")
+        else:
+            _require(_is_int(value), f"'{key}' must be an integer")
+        spec_out[key] = value
+    spec_out["register_as"] = name
     try:        # one authoritative consistency check (heads divide, …)
         _train_config(spec_out).validate()
     except ValueError as exc:
@@ -152,14 +158,8 @@ def _normalize_train(spec: dict) -> dict:
 def _train_config(spec: dict):
     """The :class:`repro.train.TrainConfig` a train spec describes."""
     from ..train import TrainConfig
-    return TrainConfig(
-        epochs=spec["epochs"], batch_size=spec["batch_size"],
-        micro_batch=spec["micro_batch"], seq_len=spec["seq_len"],
-        lr=spec["lr"], seed=spec["train_seed"],
-        vocab_size=spec["vocab_size"], d_model=spec["d_model"],
-        n_heads=spec["n_heads"], n_layers=spec["n_layers"],
-        d_ff=spec["d_ff"], max_records=spec["max_records"],
-        checkpoint_every=spec["checkpoint_every"])
+    return TrainConfig(**{name: spec[key]
+                          for key, name in TRAIN_KNOBS.items()})
 
 
 def _trained_ref(trained) -> dict | None:

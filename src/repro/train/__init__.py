@@ -5,10 +5,10 @@ same way ``repro.scale`` did for augmentation: training is a
 crash-safe, cache-aware workload that closes the paper's
 augment → train → evaluate loop.
 
-* :mod:`data`       — deterministic corpus loading straight from the
-  ``repro.scale`` shard caches (content-ordered, no re-augmentation on
-  a warm cache), the epoch/batch schedule, a pure function of
-  (dataset digest, config), and the validation loss
+* :mod:`data`       — the dataset digest, the epoch/batch schedule, a
+  pure function of (dataset digest, config), and the validation loss
+  (the corpus itself loads through the augment job's ``repro.scale``
+  shard cache: content-ordered, no re-augmentation on a warm cache)
 * :mod:`checkpoint` — :class:`CheckpointStore`: atomic, digest-verified
   ``checkpoint-<step>.bin`` raw-binary blobs behind a journal-first
   manifest (blob renamed into place *before* the manifest points at
@@ -30,8 +30,8 @@ from .artifact import (TRAIN_ARTIFACT_VERSION, build_artifact,
 from .checkpoint import (CRASH_AFTER_ENV, CRASH_MODE_ENV,
                          TRAIN_FORMAT_VERSION, CheckpointStore,
                          state_digest)
-from .data import (corpus_dataset, dataset_digest, encode_sequences,
-                   epoch_plan, evaluate_transformer, stable_seed)
+from .data import (dataset_digest, encode_sequences, epoch_plan,
+                   evaluate_transformer, stable_seed)
 from .service import (TrainConfig, TrainReport, TrainerService,
                       model_state, set_model_state, train_run)
 from .weights import (bundle_from_checkpoint, bundle_from_payload,
@@ -42,7 +42,7 @@ __all__ = [
     "TrainConfig", "TrainReport", "TrainerService", "train_run",
     "CheckpointStore", "TRAIN_FORMAT_VERSION", "CRASH_AFTER_ENV",
     "CRASH_MODE_ENV", "encode_array", "decode_array", "state_digest",
-    "corpus_dataset", "dataset_digest", "encode_sequences", "epoch_plan",
+    "dataset_digest", "encode_sequences", "epoch_plan",
     "evaluate_transformer", "stable_seed",
     "model_state", "set_model_state",
     "build_artifact", "derive_profile", "TRAIN_ARTIFACT_VERSION",

@@ -2,13 +2,13 @@
 the validation loss.
 
 **Corpus loading.** Training data comes from the same sharded,
-content-addressed augmentation layer the rest of the system uses:
-:func:`corpus_dataset` drives :class:`repro.scale.AugmentationService`
-over the corpus with a shard cache attached, so a pipeline whose
-augment stage already ran sees ``misses == 0`` — every shard is *read*
-from the cache, nothing is re-augmented — and the merged dataset is in
-canonical (content digest, discovery index) order regardless of corpus
-listing, shard count or ``jobs``.
+content-addressed augmentation layer the rest of the system uses: a
+train job loads its corpus through the augment job's code
+(``repro.serve.executor.run_augment``) with a shard cache attached, so
+a pipeline whose augment stage already ran sees ``misses == 0`` —
+every shard is *read* from the cache, nothing is re-augmented — and the
+merged dataset is in canonical (content digest, discovery index) order
+regardless of corpus listing, shard count or ``jobs``.
 
 **Schedules.** Everything downstream is a pure function of
 ``(dataset digest, train config)``: the per-epoch permutation is seeded
@@ -27,35 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable
 
 import numpy as np
 
-from ..core.pipeline import PipelineConfig
 from ..core.records import Dataset
 from ..llm.tiny_transformer import TinyTransformerLM
 from ..llm.tokenizer import Tokenizer
 from ..llm.trainer import records_to_text
-from ..scale.service import augment_distributed
-from ..scale.store import DEFAULT_NUM_SHARDS
-
-
-def corpus_dataset(paths: Iterable[str],
-                   config: PipelineConfig | None = None,
-                   cache_dir: str | None = None, jobs: int = 1,
-                   num_shards: int = DEFAULT_NUM_SHARDS):
-    """Canonically-ordered training dataset for a corpus.
-
-    Returns ``(dataset, scale_report)``.  With a warm ``cache_dir``
-    every shard comes straight from the cache
-    (``scale_report.cache_misses == 0``) — the train stage of a
-    pipeline re-reads what the augment stage computed instead of
-    re-augmenting.
-    """
-    report = augment_distributed(paths, config=config, jobs=jobs,
-                                 cache_dir=cache_dir,
-                                 num_shards=num_shards)
-    return report.dataset, report
 
 
 def dataset_digest(dataset: Dataset) -> str:

@@ -322,6 +322,62 @@ endmodule
                                                       + captured.err)
         assert "Traceback" not in captured.err
 
+    def test_unknown_top_raises_synthesis_error(self):
+        with pytest.raises(SynthesisError,
+                           match="^no module named 'nope'$"):
+            synthesize(COUNTER, top="nope")
+
+    def test_cli_synth_names_an_unknown_top(self, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "c.v"
+        path.write_text(COUNTER)
+        assert main(["synth", str(path), "--top", "nope"]) == 1
+        assert capsys.readouterr().err == \
+            "synthesis failed: no module named 'nope'\n"
+
+    def test_cli_flow_fails_the_syn_stage_on_an_unknown_top(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "c.v"
+        path.write_text(COUNTER)
+        assert main(["flow", str(path), "--top", "nope"]) == 1
+        out = capsys.readouterr().out
+        assert "syn          FAIL (no module named 'nope')" in out
+        result = Flow().run(COUNTER, "nope", FlowConstraints())
+        assert [(stage.name, stage.ok) for stage in result.stages] == \
+            [("import", True), ("syn", False)]
+
+
+#: Synthesizes ``accu`` and runs its flow; prints the netlist text and
+#: the flow summary.
+_ACCU_SCRIPT = """
+from repro.bench import rtllm_suite
+from repro.eda import Flow, FlowConstraints, synthesize
+from repro.eda.netlist_writer import netlist_to_verilog
+source = {p.name: p for p in rtllm_suite()}["accu"].reference
+print(netlist_to_verilog(synthesize(source).netlist))
+print(Flow().run(source, None, FlowConstraints()).summary())
+"""
+
+
+def test_synthesis_does_not_depend_on_the_string_hash_seed():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-c", _ACCU_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        outputs.append(run.stdout)
+    assert "SUMMARY: accu" in outputs[0]
+    assert outputs[0] == outputs[1]
+
 
 UNCONSTANT_PARAM = """module p #(parameter W = Q) (input [3:0] a,
                                   output [3:0] y);

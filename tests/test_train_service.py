@@ -21,13 +21,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import PipelineConfig
 from repro.core.records import Dataset, Task, make_record
 from repro.llm.tokenizer import Tokenizer
 from repro.llm.trainer import records_to_text, split_dataset
+from repro.serve import validate_spec
+from repro.serve.executor import run_augment
 from repro.train import (CRASH_AFTER_ENV, CRASH_MODE_ENV, CheckpointStore,
-                         TrainConfig, build_artifact, corpus_dataset,
-                         dataset_digest, train_run)
+                         TrainConfig, build_artifact, dataset_digest,
+                         train_run)
 from repro.train.data import encode_sequences, epoch_plan
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,32 +80,39 @@ def _synthetic_dataset(n: int = 24) -> Dataset:
     return Dataset(records=records)
 
 
+def _load(corpus: str, cache_dir, **spec):
+    """The train job's corpus load for a one-path spec."""
+    return run_augment(validate_spec("train", dict(spec, paths=[corpus])),
+                       cache_dir, 1)
+
+
 # --------------------------------------------------------------------------
 # Data loading: shard-cache path
 # --------------------------------------------------------------------------
 
 class TestCorpusLoading:
+    """A train job loads its corpus through the augment job's code."""
+
     def test_shard_count_invariance(self, tmp_path):
         corpus = _corpus(tmp_path)
-        one, _ = corpus_dataset([corpus], num_shards=1)
-        many, _ = corpus_dataset([corpus], num_shards=5)
+        one = _load(corpus, None, shards=1).dataset
+        many = _load(corpus, None, shards=5).dataset
         assert dataset_digest(one) == dataset_digest(many)
 
     def test_warm_cache_reaugments_nothing(self, tmp_path):
         corpus = _corpus(tmp_path)
         cache = str(tmp_path / "cache")
-        cold_set, cold = corpus_dataset([corpus], cache_dir=cache)
-        warm_set, warm = corpus_dataset([corpus], cache_dir=cache)
+        cold = _load(corpus, cache)
+        warm = _load(corpus, cache)
         assert cold.cache_misses > 0
         assert warm.cache_misses == 0 and warm.shards_computed == 0
-        assert dataset_digest(cold_set) == dataset_digest(warm_set)
+        assert dataset_digest(cold.dataset) == dataset_digest(warm.dataset)
 
     def test_config_change_invalidates(self, tmp_path):
         corpus = _corpus(tmp_path)
         cache = str(tmp_path / "cache")
-        corpus_dataset([corpus], cache_dir=cache)
-        _, report = corpus_dataset(
-            [corpus], config=PipelineConfig(seed=7), cache_dir=cache)
+        _load(corpus, cache)
+        report = _load(corpus, cache, seed=7)
         assert report.cache_misses > 0
 
 
