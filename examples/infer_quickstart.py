@@ -30,8 +30,8 @@ import os
 import tempfile
 
 from repro.cli import main as repro
-from repro.train import (TrainConfig, build_artifact, corpus_dataset,
-                         train_run)
+from repro.scale import augment_distributed
+from repro.train import TrainConfig, build_artifact, train_run
 
 DESIGNS = {
     "dff.v": "module dff(input clk, input d, output reg q);\n"
@@ -50,9 +50,10 @@ def main() -> None:
                       encoding="utf-8") as handle:
                 handle.write(text)
 
-        # 1. Finetune (checkpointed) and build the weights-carrying
-        #    artefact — the single JSON handoff every later stage uses.
-        dataset, _ = corpus_dataset([rtl])
+        # 1. Augment the corpus, finetune (checkpointed) and build the
+        #    weights-carrying artefact — the single JSON handoff every
+        #    later stage uses.
+        dataset = augment_distributed([rtl]).dataset
         report = train_run(
             dataset,
             TrainConfig(epochs=1, batch_size=4, micro_batch=2,

@@ -209,7 +209,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except ServeError as exc:
         print(f"pipeline submit failed: {exc}", file=sys.stderr)
         return 1
-    for stage in ("augment", "train", "evaluate"):
+    stages = ("augment", "train", "evaluate")     # pipeline_flow's nodes
+    for stage in stages:
         print(f"-- submitted {run.id_for(stage)} ({stage})")
     if args.no_wait:
         return 0
@@ -219,7 +220,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"pipeline timed out: {exc}", file=sys.stderr)
         return 1
     except FlowError as exc:
-        for job in sorted(exc.failures.values(), key=lambda j: j["id"]):
+        for job in (exc.failures[st] for st in stages if st in exc.failures):
             print(f"-- {job['id']} {job['state']}: "
                   f"{job.get('error') or ''}", file=sys.stderr)
         return 1
@@ -467,11 +468,12 @@ def _client(args: argparse.Namespace):
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from .serve import ServeError
-    # An infer job waits for its train job, so the weights exist when
-    # it decodes (a done dependency resolves at once).
-    after = [args.train_job] if args.job_kind == "infer" else None
+    spec = args.build_spec(args)
+    # A job that names a train job's artefact waits for it, so the
+    # weights exist when it runs (a done dependency resolves at once).
+    after = [spec["trained"]["job"]] if "trained" in spec else None
     try:
-        job = _client(args).submit(args.job_kind, args.build_spec(args),
+        job = _client(args).submit(args.job_kind, spec,
                                    priority=args.priority, after=after)
     except ServeError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
@@ -626,7 +628,8 @@ def _eval_flags(p: argparse.ArgumentParser, suite: str | None = "generation",
     # A spec must name its suite, so --suite keeps a default (None =
     # pipeline_flow's).
     p.add_argument("--suite", choices=EVAL_SUITES, default=suite,
-                   help=f"benchmark suite (default: {suite or 'thakur'})")
+                   help="benchmark suite (default: "
+                        f"{suite or 'the pipeline flow'})")
     p.add_argument("--models",
                    help="comma-separated model names (default: the "
                         "suite's paper column order; for a pipeline, "

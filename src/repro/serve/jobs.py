@@ -17,6 +17,7 @@ its dependents (transitively).
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 
 #: Every kind the service executes (see ``repro.serve.executor``).
@@ -134,18 +135,20 @@ def _normalize_train(spec: dict) -> dict:
              "'register_as' must be a non-empty name that does not "
              "shadow a built-in model")
     defaults = TrainConfig()
+    types = typing.get_type_hints(TrainConfig)
     for key, field_name in TRAIN_KNOBS.items():
         value = spec.get(key, getattr(defaults, field_name))
-        if key == "lr":
+        # The field's type decides: float > 0, int, or int > 0 | None.
+        if types[field_name] is float:
             _require(isinstance(value, (int, float))
                      and not isinstance(value, bool) and value > 0,
-                     "'lr' must be a positive number")
+                     f"'{key}' must be a positive number")
             value = float(value)
-        elif key == "max_records":
-            _require(value is None or (_is_int(value) and value > 0),
-                     "'max_records' must be a positive integer or null")
-        else:
+        elif types[field_name] is int:
             _require(_is_int(value), f"'{key}' must be an integer")
+        else:
+            _require(value is None or (_is_int(value) and value > 0),
+                     f"'{key}' must be a positive integer or null")
         spec_out[key] = value
     spec_out["register_as"] = name
     try:        # one authoritative consistency check (heads divide, …)
