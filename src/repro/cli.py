@@ -335,6 +335,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.artifact:
         artifacts = [json.loads(_read(path)) for path in args.artifact]
     spec = _eval_spec(args)
+    checked = dict(spec)
+    if artifacts:       # their models register only when the suite runs
+        checked.pop("models", None)
+    if _checked_spec("evaluate", checked) is None:
+        return 2
     result = run_suite(spec.pop("suite"), **spec, engine=engine,
                        artifacts=artifacts)
     print(result.rendered)

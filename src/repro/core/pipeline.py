@@ -97,10 +97,10 @@ def augment_file(text: str, config: PipelineConfig | None = None,
     """Run every per-file stage over one Verilog source.
 
     Pure function: output depends only on ``(text, config, seed)``.
-    Both the legacy serial :class:`AugmentationPipeline` and the
-    sharded :mod:`repro.scale` runner call this, so the two paths can
-    never drift apart.  ``seed`` defaults to
-    ``content_seed(text, config.seed)``.
+    Both the serial :class:`AugmentationPipeline` and the sharded
+    :func:`repro.scale.augment_distributed` call this (and
+    :func:`report_fields`), so the two paths can never drift apart.
+    ``seed`` defaults to ``content_seed(text, config.seed)``.
     """
     config = config or PipelineConfig()
     if seed is None:
@@ -144,17 +144,26 @@ class AugmentationPipeline:
         :func:`content_seed`); identical files yield identical records
         regardless of corpus ordering or duplication.
         """
-        config = self.config
         dataset = Dataset()
         for text in verilog_files:
-            dataset.extend(augment_file(text, config))
-        if config.eda_scripts and eda_scripts:
-            if describer is None:
-                from .script_aug import default_describer
-                describer = default_describer()
-            dataset.extend(script_records(eda_scripts, describer))
-        raw_count = len(dataset)
-        trimmed = dataset.trimmed(config.max_tokens)
-        return PipelineReport(dataset=trimmed, raw_count=raw_count,
-                              trimmed_count=raw_count - len(trimmed),
-                              per_task=trimmed.task_counts())
+            dataset.extend(augment_file(text, self.config))
+        return PipelineReport(**report_fields(dataset, self.config,
+                                              eda_scripts, describer))
+
+
+def report_fields(dataset: Dataset, config: PipelineConfig,
+                  eda_scripts: Iterable[str],
+                  describer: Describer | None) -> dict:
+    """The tail every augmentation run shares: append the EDA-script
+    records, trim over-length records, count what is left.  Returns
+    :class:`PipelineReport`'s fields."""
+    if config.eda_scripts and eda_scripts:
+        if describer is None:
+            from .script_aug import default_describer
+            describer = default_describer()
+        dataset.extend(script_records(eda_scripts, describer))
+    raw_count = len(dataset)
+    trimmed = dataset.trimmed(config.max_tokens)
+    return {"dataset": trimmed, "raw_count": raw_count,
+            "trimmed_count": raw_count - len(trimmed),
+            "per_task": trimmed.task_counts()}

@@ -2,10 +2,10 @@
 
 One execution kernel behind every benchmark sweep (Tables 3–5): a sweep
 (:func:`sweep`) is decomposed into :class:`EvalTask` units — one (model,
-payload, level, sample budget) cell — which run on the generic
-:class:`~repro.scale.runner.WorkPool` and persist through
-:class:`EvalCache`, a :class:`~repro.scale.cache.ManifestCache` of one
-JSON blob per cell.
+payload, level, sample budget) cell — which run through
+:func:`~repro.scale.runner.cached_map`, the cached work map the
+augmentation shards share, and persist through :class:`EvalCache`, a
+:class:`~repro.scale.cache.ManifestCache` of one JSON blob per cell.
 
 Determinism rules (mirroring ``repro.scale``):
 
@@ -29,7 +29,10 @@ Cache-invalidation rules:
   cache wholesale;
 * entry files and the manifest are written atomically, and the manifest
   records ``last_run: {hits, misses}`` — a fully warm re-run is
-  verifiable as ``misses == 0``.
+  verifiable as ``misses == 0``;
+* the manifest is flushed every 32 computed cells and once more when
+  :meth:`EvalEngine.run` returns or raises, so a sweep that fails on a
+  later cell keeps every cell it finished.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from ..bench.problems import Problem
 from ..bench.scgen import ScriptTask
 from ..llm.behavioral import BehavioralModel
 from ..scale.cache import ManifestCache
-from ..scale.runner import WorkPool
+from ..scale.runner import WorkPool, cached_map
 from .repair_eval import BrokenCase, evaluate_repair_cell
 from .script_eval import IterationResult, iterations_to_correct
 from .verilog_eval import CellResult, clear_cache, evaluate_cell
@@ -256,56 +259,26 @@ class EvalEngine:
 
     def run(self, tasks: list[EvalTask]) -> list[dict]:
         """Evaluate every task; returns result blobs in task order."""
-        from ..sim import BackendStats
         cache = (EvalCache(self.cache_dir, engine_fingerprint())
                  if self.cache_dir else None)
-        results: list[dict | None] = [None] * len(tasks)
-        keys: dict[int, str] = {}
-        dirty: dict[int, EvalTask] = {}
-        for index, task in enumerate(tasks):
-            # A key only addresses the cache; without one it is never read.
-            cached = None
-            if cache is not None:
-                keys[index] = task.key()
-                cached = cache.lookup(task.slot(), keys[index])
-            if cached is not None:
-                results[index] = cached
-            else:
-                dirty[index] = task
-
-        sim_stats = BackendStats()
-        if dirty:
-            done = 0
-
-            def on_done(index: int, traced: tuple[dict, object]) -> None:
-                nonlocal done
-                sim_stats.add(traced[1])
-                if cache is not None:
-                    cache.store(tasks[index].slot(), keys[index],
-                                traced[0])
-                    done += 1
-                    # Periodic flush keeps an interrupted run warm
-                    # without rewriting the manifest per cell (O(n^2)
-                    # on big sweeps); the final flush below is the
-                    # authoritative write.
-                    if done % 32 == 0:
-                        cache.flush()
-
-            pool = WorkPool(jobs=self.jobs, initializer=_cold_worker)
-            for index, traced in pool.map(run_eval_task_traced, dirty,
-                                          on_done=on_done).items():
-                results[index] = traced[0]
-        if cache is not None:
-            cache.flush()
-        self.sim_stats.add(sim_stats)
-
+        # Flushing every 32 cells keeps an interrupted run warm without
+        # rewriting the manifest per cell (O(n^2) on big sweeps).
+        hits, computed = cached_map(
+            WorkPool(jobs=self.jobs, initializer=_cold_worker),
+            run_eval_task_traced, dict(enumerate(tasks)), cache,
+            slot=lambda index: tasks[index].slot(),
+            key=lambda index: tasks[index].key(), flush_every=32,
+            cached=lambda traced: traced[0])
+        for _, stats in computed.values():
+            self.sim_stats.add(stats)
         self.stats = EngineStats(
             tasks=len(tasks),
             cache_hits=cache.hits if cache is not None else 0,
             cache_misses=cache.misses if cache is not None else 0,
-            computed=len(dirty), jobs=self.jobs,
+            computed=len(computed), jobs=self.jobs,
             cache_enabled=cache is not None)
-        return results
+        return [hits[index] if index in hits else computed[index][0]
+                for index in range(len(tasks))]
 
 
 def sweep(kind: str, models: list[BehavioralModel], payloads: list,

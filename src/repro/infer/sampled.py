@@ -3,9 +3,9 @@
 Where :class:`repro.llm.BehavioralModel` *simulates* a model from a
 calibrated profile, :class:`SampledModel` decodes real candidates from
 a trained :class:`TinyTransformerLM` weights bundle: prompts are laid
-out exactly like the finetuning text format
-(``### instruct: …\\n### input: …\\n### output:``), encoded with the
-run's own tokenizer, and completed with batched KV-cache sampling
+out by :func:`repro.llm.prompt_text`, the finetuning record layout with
+the output left open, encoded with the run's own tokenizer, and
+completed with batched KV-cache sampling
 (:func:`repro.infer.sample_tokens`) under content-derived seeds — the
 same candidate list for the same weights, prompt and knobs, on every
 host and worker count, which is what keeps eval cells cacheable.
@@ -23,6 +23,7 @@ emission still comes from the artefact's calibrated profile.
 from __future__ import annotations
 
 from ..llm.behavioral import BehavioralModel, ModelProfile
+from ..llm.trainer import prompt_text
 from ..train.data import stable_seed
 from .decode import sample_tokens
 from .host import shared_host
@@ -32,11 +33,6 @@ __all__ = ["SampledModel", "DEFAULT_MAX_NEW_TOKENS",
 
 DEFAULT_MAX_NEW_TOKENS = 48
 DEFAULT_TEMPERATURE = 0.8
-
-
-def prompt_text(instruct: str, inp: str = "") -> str:
-    """The finetuning record layout with the output left open."""
-    return f"### instruct: {instruct}\n### input: {inp}\n### output:"
 
 
 class SampledModel:

@@ -26,8 +26,9 @@ from .registry import (TABLE3_MODEL_ORDER, TABLE4_MODEL_ORDER,
                        unregister_profile)
 from .tiny_transformer import (Adam, TinyTransformerLM, TransformerConfig)
 from .tokenizer import Tokenizer, pretokenize
-from .trainer import (TrainResult, record_to_text, records_to_text,
-                      scaling_curve, split_dataset, train_ngram)
+from .trainer import (TrainResult, prompt_text, record_to_text,
+                      records_to_text, scaling_curve, split_dataset,
+                      train_ngram)
 
 __all__ = [
     "Tokenizer", "pretokenize", "NGramModel",
@@ -35,7 +36,7 @@ __all__ = [
     "LoRAAdapter", "attach_lora", "merge_lora", "detach_lora",
     "count_lora_params",
     "train_ngram", "scaling_curve", "split_dataset", "TrainResult",
-    "record_to_text", "records_to_text",
+    "prompt_text", "record_to_text", "records_to_text",
     "DescriptionOracle",
     "BehavioralModel", "ModelProfile", "ScriptSkill", "PROFILES",
     "LEVEL_BONUS", "corrupt_functionally", "corrupt_syntax",

@@ -19,11 +19,14 @@ from .ngram import NGramModel
 from .tokenizer import Tokenizer
 
 
+def prompt_text(instruct: str, inp: str = "") -> str:
+    """The finetuning record layout with the output left open."""
+    return f"### instruct: {instruct}\n### input: {inp}\n### output:"
+
+
 def record_to_text(record: Record) -> str:
     """One training document per record, paper's three-field layout."""
-    return (f"### instruct: {record.instruct}\n"
-            f"### input: {record.input}\n"
-            f"### output: {record.output}")
+    return f"{prompt_text(record.instruct, record.input)} {record.output}"
 
 
 def records_to_text(dataset: Dataset) -> list[str]:

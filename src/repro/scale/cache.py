@@ -14,6 +14,12 @@ Two subclasses specialise the payload encoding:
   JSONL, one line per source file), used by ``repro augment``;
 * ``repro.eval.engine.EvalCache`` — one JSON blob per benchmark cell.
 
+The manifest format itself lives here once: :func:`read_manifest` (the
+version/fingerprint check and the stale-file wipe) and
+:func:`write_manifest` (the atomic write) serve these caches and
+``repro.train.checkpoint.CheckpointStore``, and :func:`cache_counters`
+reads every cache's ``last_run`` counters back.
+
 Invalidation rules (see ROADMAP "repro.scale architecture"):
 
 * a slot's **key** hashes the config fingerprint plus the content of its
@@ -77,6 +83,68 @@ class LRUCache(Generic[K, V]):
         return key in self._data
 
 
+MANIFEST = "manifest.json"
+
+
+def read_manifest(root: str, version: int, fingerprint: str,
+                  entry_dir: str, prefix: str,
+                  suffix: str | tuple[str, ...]) -> dict:
+    """``root``'s manifest if it was written under ``version`` and
+    ``fingerprint``, else ``{}``.
+
+    A manifest from another format or config is stale: its entry files
+    (``<prefix>…<suffix>`` in ``entry_dir``) are unlinked so they do not
+    pile up.  A missing or unreadable manifest just reads empty.
+    """
+    try:
+        with open(os.path.join(root, MANIFEST), encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError):
+        return {}
+    if (isinstance(manifest, dict) and manifest.get("version") == version
+            and manifest.get("fingerprint") == fingerprint):
+        return manifest
+    try:
+        names = os.listdir(entry_dir)
+    except OSError:
+        return {}
+    for name in names:
+        if name.startswith(prefix) and name.endswith(suffix):
+            try:
+                os.unlink(os.path.join(entry_dir, name))
+            except OSError:
+                pass
+    return {}
+
+
+def write_manifest(root: str, version: int, fingerprint: str,
+                   fields: dict) -> None:
+    """Atomically write ``root``'s manifest: format, fingerprint and
+    ``fields``."""
+    manifest = {"version": version, "fingerprint": fingerprint, **fields}
+    atomic_write_text(os.path.join(root, MANIFEST),
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def cache_counters(workdir: str) -> dict[str, dict]:
+    """``relative dir → last_run`` for every cache manifest under
+    ``workdir`` (manifests without ``last_run``, such as training
+    checkpoints', are not caches and are left out)."""
+    counters = {}
+    for root, _, names in sorted(os.walk(workdir)):
+        if MANIFEST not in names:
+            continue
+        try:
+            with open(os.path.join(root, MANIFEST),
+                      encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except (OSError, ValueError):
+            continue
+        if isinstance(manifest, dict) and "last_run" in manifest:
+            counters[os.path.relpath(root, workdir)] = manifest["last_run"]
+    return counters
+
+
 class ManifestCache:
     """Manifest-indexed store of per-slot results.
 
@@ -102,10 +170,12 @@ class ManifestCache:
         self.fingerprint = fingerprint
         self.hits = 0
         self.misses = 0
-        self._manifest_path = os.path.join(root, "manifest.json")
         self._entry_dir = os.path.join(root, self.subdir)
-        self._entries: dict[str, dict] = {}
-        self._load_manifest()
+        manifest = read_manifest(root, self.version, fingerprint,
+                                 self._entry_dir, self.file_prefix,
+                                 self.file_suffix)
+        self._entries: dict[str, dict] = manifest.get(self.entries_field,
+                                                      {})
 
     # -- serialisation hooks ----------------------------------------------
 
@@ -118,34 +188,6 @@ class ManifestCache:
     def _entry_meta(self, payload) -> dict:
         """Extra manifest metadata recorded alongside an entry."""
         return {}
-
-    # -- manifest ---------------------------------------------------------
-
-    def _load_manifest(self) -> None:
-        try:
-            with open(self._manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            return
-        if (manifest.get("version") != self.version
-                or manifest.get("fingerprint") != self.fingerprint):
-            self._clear_entry_files()   # stale config/format: start clean
-            return
-        self._entries = manifest.get(self.entries_field, {})
-
-    def _clear_entry_files(self) -> None:
-        """Drop orphaned entry files so stale configs don't pile up."""
-        try:
-            names = os.listdir(self._entry_dir)
-        except OSError:
-            return
-        for name in names:
-            if (name.startswith(self.file_prefix)
-                    and name.endswith(self.file_suffix)):
-                try:
-                    os.unlink(os.path.join(self._entry_dir, name))
-                except OSError:
-                    pass
 
     def _entry_path(self, slot: str, key: str) -> str:
         return os.path.join(
@@ -192,15 +234,9 @@ class ManifestCache:
 
     def flush(self) -> None:
         """Atomically write the manifest, including last-run counters."""
-        manifest = {
-            "version": self.version,
-            "fingerprint": self.fingerprint,
+        write_manifest(self.root, self.version, self.fingerprint, {
             self.entries_field: dict(sorted(self._entries.items())),
-            "last_run": {"hits": self.hits, "misses": self.misses},
-        }
-        atomic_write_text(self._manifest_path,
-                          json.dumps(manifest, indent=2, sort_keys=True)
-                          + "\n")
+            "last_run": {"hits": self.hits, "misses": self.misses}})
 
 
 def shard_key(fingerprint: str, digests: list[str]) -> str:

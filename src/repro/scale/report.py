@@ -20,7 +20,7 @@ class ScaleReport(PipelineReport):
     files_total: int = 0
     shards_total: int = 0
     shards_cached: int = 0      #: served straight from the ResultCache
-    shards_computed: int = 0    #: executed by the ShardRunner this run
+    shards_computed: int = 0    #: augmented by run_shard this run
     cache_hits: int = 0
     cache_misses: int = 0
     cache_enabled: bool = False

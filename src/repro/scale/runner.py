@@ -3,9 +3,11 @@
 :class:`WorkPool` is the generic layer: map a picklable module-level
 function over keyed work items on worker processes (or the calling
 thread for ``jobs=1``), with a completion callback per item.
-:class:`ShardRunner` specialises it for augmentation shards; the
-evaluation engine (``repro.eval.engine``) maps benchmark cells over the
-same pool.
+:func:`cached_map` puts a :class:`~repro.scale.cache.ManifestCache` in
+front of it; both cached maps of the system run through it — the
+augmentation shards (:func:`run_shard`, driven by
+:func:`repro.scale.service.augment_distributed`) and the evaluation
+engine's benchmark cells (``repro.eval.engine``).
 
 Because every unit of work derives its randomness from *content* hashes
 (:func:`repro.core.content_seed`, the behavioural models' stable
@@ -22,7 +24,8 @@ from typing import TypeVar
 
 from ..core.pipeline import PipelineConfig, augment_file
 from ..core.records import Record
-from .store import SourceFile, sha256_text
+from .cache import ManifestCache
+from .store import sha256_text
 
 K = TypeVar("K")
 W = TypeVar("W")
@@ -89,6 +92,49 @@ class WorkPool:
         return results
 
 
+def cached_map(pool: WorkPool, fn: Callable[[W], R], items: dict[K, W],
+               cache: ManifestCache | None, slot: Callable[[K], str],
+               key: Callable[[K], str], flush_every: int,
+               cached: Callable[[R], object] = lambda result: result,
+               ) -> tuple[dict[K, object], dict[K, R]]:
+    """Map ``fn`` over the items ``cache`` does not already hold.
+
+    Returns ``(hits, computed)``: the cached payloads of the items the
+    cache served and ``fn``'s results for the rest, both keyed like
+    ``items``.  ``slot(k)`` and ``key(k)`` address item ``k`` in the
+    cache (keys are computed only when a cache is attached).  Each
+    result's ``cached(result)`` part is stored as it finishes; the
+    manifest is flushed after every ``flush_every`` stores and once
+    more on the way out, errors included, so an interrupted run keeps
+    every item it finished.
+    """
+    if cache is None:
+        return {}, pool.map(fn, items)
+    keys = {k: key(k) for k in items}
+    hits: dict[K, object] = {}
+    misses: dict[K, W] = {}
+    for k, item in items.items():
+        found = cache.lookup(slot(k), keys[k])
+        if found is None:
+            misses[k] = item
+        else:
+            hits[k] = found
+    stored = 0
+
+    def on_done(k: K, result: R) -> None:
+        nonlocal stored
+        cache.store(slot(k), keys[k], cached(result))
+        stored += 1
+        if stored % flush_every == 0:
+            cache.flush()
+
+    try:
+        computed = pool.map(fn, misses, on_done)
+    finally:
+        cache.flush()
+    return hits, computed
+
+
 def run_shard(payload: tuple[list[tuple[str, str]], PipelineConfig],
               ) -> dict[str, list[Record]]:
     """Augment one shard: ``([(digest, path), ...], config)`` → records.
@@ -112,21 +158,3 @@ def run_shard(payload: tuple[list[tuple[str, str]], PipelineConfig],
                 f"re-run to pick up the new content")
         results[digest] = augment_file(text, config)
     return results
-
-
-class ShardRunner:
-    """Execute augmentation shards across a :class:`WorkPool`."""
-
-    def __init__(self, config: PipelineConfig | None = None, jobs: int = 1):
-        self.config = config or PipelineConfig()
-        self.jobs = max(1, jobs)
-
-    def run(self, shards: dict[int, list[SourceFile]],
-            on_shard_done: Callable[[int, dict[str, list[Record]]], None]
-            | None = None) -> dict[int, dict[str, list[Record]]]:
-        """Augment every shard; returns ``shard -> digest -> records``."""
-        payloads = {index: ([(s.digest, s.path) for s in members],
-                            self.config)
-                    for index, members in shards.items()}
-        pool = WorkPool(jobs=self.jobs)
-        return pool.map(run_shard, payloads, on_done=on_shard_done)

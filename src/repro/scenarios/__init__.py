@@ -8,11 +8,11 @@ this package registers the built-in zoo (:mod:`repro.scenarios.builtin`).
 from .registry import (Scenario, all_scenarios, get_scenario, register,
                        select_scenarios, unregister)
 from .runner import (ScenarioContext, ScenarioReport, ScenarioResult,
-                     manifest_counters, run_scenario, run_scenarios)
+                     run_scenario, run_scenarios)
 from . import builtin  # noqa: F401  — populates the registry
 
 __all__ = [
     "Scenario", "ScenarioContext", "ScenarioReport", "ScenarioResult",
-    "all_scenarios", "get_scenario", "manifest_counters", "register",
+    "all_scenarios", "get_scenario", "register",
     "run_scenario", "run_scenarios", "select_scenarios", "unregister",
 ]

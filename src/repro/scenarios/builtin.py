@@ -25,8 +25,9 @@ import subprocess
 import sys
 import time
 
+from ..scale.cache import cache_counters
 from .registry import Scenario, register
-from .runner import ScenarioContext, manifest_counters
+from .runner import ScenarioContext
 
 # -- sweep: seed grid ------------------------------------------------------
 
@@ -123,9 +124,9 @@ def _ops_warm_cache(ctx: ScenarioContext) -> dict:
                   "samples": 1, "k": 1, "levels": ["middle"]}}]}
     workdir = ctx.workdir()
     cold = run_flow_direct(flow, workdir, engine_jobs=ctx.jobs)
-    cold_counters = manifest_counters(workdir)
+    cold_counters = cache_counters(workdir)
     warm = run_flow_direct(flow, workdir, engine_jobs=ctx.jobs)
-    warm_counters = manifest_counters(workdir)
+    warm_counters = cache_counters(workdir)
     return {"identical_results": int(cold == warm),
             "manifests": len(warm_counters),
             "cold_misses": sum(c["misses"]

@@ -15,7 +15,6 @@ tests compare against ``tests/golden/scenario_reports.json``.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
@@ -65,20 +64,6 @@ class ScenarioContext:
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(text)
         return corpus
-
-
-def manifest_counters(workdir: str) -> dict[str, dict]:
-    """``relative dir → last_run`` for every cache manifest found."""
-    counters = {}
-    for root, _, names in os.walk(workdir):
-        if "manifest.json" not in names:
-            continue
-        with open(os.path.join(root, "manifest.json"),
-                  encoding="utf-8") as handle:
-            blob = json.load(handle)
-        if "last_run" in blob:
-            counters[os.path.relpath(root, workdir)] = blob["last_run"]
-    return counters
 
 
 def run_flow_daemon(flow: dict, store_dir: str, *,

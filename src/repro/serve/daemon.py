@@ -38,12 +38,12 @@ the locks — a slow health scan never blocks workers or API calls.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 from collections.abc import Callable
 
+from ..scale.cache import cache_counters
 from .executor import execute_batch
 from .jobs import SpecError, validate_spec
 from .scheduler import DEFAULT_BATCH_LIMIT, Scheduler
@@ -287,7 +287,7 @@ class Daemon:
             "budgets": budgets,
             "jobs": counts,
             "recovered": recovered,
-            "caches": self._cache_health(),
+            "caches": cache_counters(self.work_dir),
             "sim_backend": {
                 "summary": stats.summary(),
                 "compiled_runs": stats.compiled_runs,
@@ -299,25 +299,6 @@ class Daemon:
                 "codegen_misses": stats.codegen_misses,
             },
         }
-
-    def _cache_health(self) -> dict[str, dict]:
-        """``last_run`` hit/miss counters from every cache manifest the
-        work dir has accumulated (augment shards, eval cells).  Pure
-        disk reads: called with no lock held."""
-        caches: dict[str, dict] = {}
-        try:
-            names = sorted(os.listdir(self.work_dir))
-        except OSError:
-            return caches
-        for name in names:
-            manifest = os.path.join(self.work_dir, name, "manifest.json")
-            try:
-                with open(manifest, encoding="utf-8") as handle:
-                    blob = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            caches[name] = blob.get("last_run", {})
-        return caches
 
     # -- workers ----------------------------------------------------------
 

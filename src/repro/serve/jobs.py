@@ -239,7 +239,7 @@ def _normalize_evaluate(spec: dict) -> dict:
     samples = spec.get("samples")
     if samples is None:
         samples = SUITES[suite].samples
-    _require(isinstance(samples, int) and samples > 0,
+    _require(_is_int(samples) and samples > 0,
              "'samples' must be a positive integer")
     out = {"suite": suite, "models": models, "samples": samples,
            "k": _as_int(spec, "k", 5), "levels": levels,

@@ -43,7 +43,8 @@ import signal
 
 import numpy as np
 
-from ..core.records import atomic_write_bytes, atomic_write_text
+from ..core.records import atomic_write_bytes
+from ..scale.cache import read_manifest, write_manifest
 
 #: Bump when the checkpoint blob format changes; old stores are
 #: discarded (training restarts from scratch — still deterministic).
@@ -86,50 +87,18 @@ class CheckpointStore:
         self.root = root
         self.fingerprint = fingerprint
         self.writes = 0
-        self._manifest_path = os.path.join(root, "manifest.json")
-        self._checkpoints: list[dict] = []      # [{step, file, sha256}]
         if crash_after is None:
             crash_after = int(os.environ.get(CRASH_AFTER_ENV, "0") or 0)
             crash_mode = crash_mode or os.environ.get(CRASH_MODE_ENV)
         self._crash_after = crash_after or 0
         self._crash_mode = crash_mode or "kill"
-        self._load_manifest()
-
-    # -- manifest ---------------------------------------------------------
-
-    def _load_manifest(self) -> None:
-        try:
-            with open(self._manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            return
-        if (manifest.get("version") != TRAIN_FORMAT_VERSION
-                or manifest.get("fingerprint") != self.fingerprint):
-            self._clear_files()     # stale config/data: start clean
-            return
-        self._checkpoints = list(manifest.get("checkpoints", []))
-
-    def _clear_files(self) -> None:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return
-        for name in names:
-            # .json: v2 blobs, so a format bump also drops them.
-            if (name.startswith("checkpoint-")
-                    and name.endswith((".bin", ".json"))):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                except OSError:
-                    pass
-
-    def _write_manifest(self) -> None:
-        manifest = {"version": TRAIN_FORMAT_VERSION,
-                    "fingerprint": self.fingerprint,
-                    "checkpoints": self._checkpoints}
-        atomic_write_text(self._manifest_path,
-                          json.dumps(manifest, indent=2, sort_keys=True)
-                          + "\n")
+        # A stale store (other config/data/format) starts clean; .json
+        # names v2 blobs, so a format bump drops them too.
+        manifest = read_manifest(root, TRAIN_FORMAT_VERSION, fingerprint,
+                                 root, "checkpoint-", (".bin", ".json"))
+        #: ``[{step, file, sha256}]``, oldest first.
+        self._checkpoints: list[dict] = list(manifest.get("checkpoints",
+                                                          []))
 
     # -- save / load ------------------------------------------------------
 
@@ -161,7 +130,8 @@ class CheckpointStore:
         self._checkpoints.sort(key=lambda c: c["step"])
         dropped = self._checkpoints[:-KEEP_CHECKPOINTS]
         self._checkpoints = self._checkpoints[-KEEP_CHECKPOINTS:]
-        self._write_manifest()
+        write_manifest(self.root, TRAIN_FORMAT_VERSION, self.fingerprint,
+                       {"checkpoints": self._checkpoints})
         for old in dropped:     # after the manifest stops naming them
             try:
                 os.unlink(os.path.join(self.root, old["file"]))

@@ -305,6 +305,35 @@ class TestBadValues:
                                            "epochs/batch_size/micro_batch "
                                            "must be >= 1\n")
 
+    def test_evaluate_exits_2_with_the_spec_reason(self, capsys):
+        assert main(["evaluate", "--suite", "thakur", "--samples", "0",
+                     "--models", "ours-13b", "--levels", "middle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("invalid evaluate options: 'samples' "
+                                "must be a positive integer\n")
+        assert captured.out == ""
+
+    def test_evaluate_scores_an_artifact_model(self, tmp_path, capsys):
+        """Artefact models register when the suite runs, after the
+        spec check, so naming one in --models is not an unknown model."""
+        import dataclasses
+
+        from repro.llm import get_profile, unregister_profile
+        profile = dataclasses.replace(get_profile("ours-13b"),
+                                      name="cli-art")
+        artifact = tmp_path / "art.json"
+        artifact.write_text(json.dumps(
+            {"name": "cli-art", "profile": dataclasses.asdict(profile)}))
+        flags = ["evaluate", "--suite", "thakur", "--models", "cli-art",
+                 "--levels", "middle", "--artifact", str(artifact)]
+        try:
+            assert main(flags + ["--samples", "1"]) == 0
+            assert "-- 17 cell(s) [17 computed" in capsys.readouterr().out
+            assert main(flags + ["--samples", "0"]) == 2
+            assert "'samples' must be" in capsys.readouterr().err
+        finally:
+            unregister_profile("cli-art")
+
     def test_infer_exits_2_with_the_spec_reason(self, monkeypatch,
                                                 tmp_path, capsys):
         import repro.infer

@@ -83,6 +83,21 @@ class TestEvalCache:
         assert manifest["last_run"] == {"hits": warm.stats.tasks,
                                         "misses": 0}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_finished_before_a_failure_stay_cached(self, tmp_path,
+                                                         jobs):
+        cache = str(tmp_path / "cache")
+        model = get_model("ours-13b")
+        cells = [EvalTask(kind="generation", model=model, payload=problem,
+                          level="middle", n_samples=1)
+                 for problem in _problems(5)]
+        broken = EvalTask(kind="nope", model=model, payload=_problems(1)[0])
+        with pytest.raises(ValueError, match="unknown eval task kind"):
+            EvalEngine(jobs=jobs, cache_dir=cache).run(cells + [broken])
+        rerun = EvalEngine(jobs=jobs, cache_dir=cache)
+        rerun.run(cells)
+        assert (rerun.stats.cache_hits, rerun.stats.cache_misses) == (5, 0)
+
     def test_editing_one_problem_invalidates_only_its_cells(self,
                                                             tmp_path):
         cache = str(tmp_path / "cache")

@@ -26,6 +26,7 @@ import sys
 import pytest
 
 from repro.llm import unregister_profile
+from repro.scale import cache_counters
 from repro.serve import (Daemon, GatewayServer, Job, Scheduler,
                          ServeClient, SpecError, execute_job,
                          validate_spec)
@@ -100,20 +101,6 @@ def _run_dag(client: ServeClient, corpus: str) -> tuple[dict, dict]:
     return client.result(ids["train"]), client.result(ids["evaluate"])
 
 
-def _manifest_counters(workdir: str) -> dict[str, dict]:
-    """``relative dir → last_run`` for every cache manifest found."""
-    counters = {}
-    for root, _, names in os.walk(workdir):
-        if "manifest.json" not in names:
-            continue
-        with open(os.path.join(root, "manifest.json"),
-                  encoding="utf-8") as handle:
-            blob = json.load(handle)
-        if "last_run" in blob:
-            counters[os.path.relpath(root, workdir)] = blob["last_run"]
-    return counters
-
-
 class TestPipelineGolden:
     @pytest.fixture(autouse=True)
     def _clean_registry(self):
@@ -161,16 +148,15 @@ class TestPipelineGolden:
             _stop_daemon(daemon, server)
         assert warm_train == train_blob     # byte-identical results
         assert warm_eval == eval_blob
-        counters = _manifest_counters(os.path.join(store, "work"))
+        counters = cache_counters(os.path.join(store, "work"))
         assert any(name.startswith("aug-") for name in counters)
         assert "eval-cache" in counters
         for name, last_run in counters.items():
             assert last_run["misses"] == 0, (name, counters)
             assert last_run["hits"] > 0, (name, counters)
-        # The daemon's health endpoint reports the same counters.
-        for name, last_run in health["caches"].items():
-            if "misses" in last_run:
-                assert last_run["misses"] == 0, (name, health["caches"])
+        # The daemon's health endpoint reports the same counters, and
+        # only those: the train checkpoint store is not a cache.
+        assert health["caches"] == counters
 
     def test_direct_execution_matches_daemon(self, tmp_path):
         """Same specs, no daemon/store: byte-identical blobs."""

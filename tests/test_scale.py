@@ -9,9 +9,8 @@ import pytest
 from repro.core import (AugmentationPipeline, PipelineConfig, augment_file,
                         content_seed)
 from repro.corpus import generate_corpus
-from repro.scale import (AugmentationService, CorpusStore, ResultCache,
-                         augment_distributed, sha256_text, shard_key,
-                         shard_of_path)
+from repro.scale import (CorpusStore, ResultCache, augment_distributed,
+                         sha256_text, shard_key, shard_of_path)
 
 CONFIG = PipelineConfig(eda_scripts=False, statement_cap=8, token_cap=16)
 

@@ -556,6 +556,11 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             validate_spec("evaluate", {"suite": "scripts",
                                        "models": ["no-such-model"]})
+        for samples in (0, True, "2"):
+            with pytest.raises(SpecError,
+                               match="'samples' must be a positive integer"):
+                validate_spec("evaluate", {"suite": "thakur",
+                                           "samples": samples})
         with pytest.raises(SpecError):
             validate_spec("simulate", {"source": "   "})
         with pytest.raises(SpecError):
